@@ -2,7 +2,7 @@
 //! breakdown.
 //!
 //! ```text
-//! perfbench --workload <bulk_clean|edit_loop|paper_pipeline|serve_open_loop>
+//! perfbench --workload <bulk_clean|paper_pipeline|serve_open_loop>
 //!           --seed N --seconds S --trace <0|1>
 //!           [--short] [--datalens-bin PATH] [--out DIR]
 //!           [--git-rev REV] [--source-hash HASH]
@@ -29,12 +29,7 @@ use report::{Outcome, END_TO_END};
 use serde_json::Value;
 use trace::Tracer;
 
-pub const WORKLOADS: [&str; 4] = [
-    "bulk_clean",
-    "edit_loop",
-    "paper_pipeline",
-    "serve_open_loop",
-];
+pub const WORKLOADS: [&str; 3] = ["bulk_clean", "paper_pipeline", "serve_open_loop"];
 
 pub struct Config {
     pub workload: String,
@@ -94,27 +89,18 @@ fn parse_args() -> Result<Config, String> {
 struct Operation {
     /// The span that wraps one operation.
     root_span: &'static str,
-    /// Leading operations the work counters average over.
-    count_ops: usize,
     /// The name the issue gives the operation's median latency.
     p50_name: &'static str,
 }
 
 fn operation(workload: &str) -> Operation {
     match workload {
-        "edit_loop" => Operation {
-            root_span: "op.edit",
-            count_ops: tables::MIN_EDITS,
-            p50_name: "edit_p50_ms",
-        },
         "serve_open_loop" => Operation {
             root_span: "loadgen.job",
-            count_ops: 1,
             p50_name: "job_p50_ms",
         },
         _ => Operation {
             root_span: "op.pass",
-            count_ops: 1,
             p50_name: "pass_p50_ms",
         },
     }
@@ -157,7 +143,6 @@ fn main() -> ExitCode {
     let tracer = Tracer::new();
     let result = match cfg.workload.as_str() {
         "bulk_clean" => tables::bulk_clean(&cfg, &tracer),
-        "edit_loop" => tables::edit_loop(&cfg, &tracer),
         "paper_pipeline" => tables::paper_pipeline(&cfg, &tracer),
         _ => serve::serve_open_loop(&cfg, &tracer),
     };
@@ -170,7 +155,7 @@ fn main() -> ExitCode {
     };
     let spans = tracer.spans();
     let op = operation(&cfg.workload);
-    let per_layer = outcome.per_layer(&spans, op.root_span, op.count_ops);
+    let per_layer = outcome.per_layer(&spans, op.root_span);
     let e2e = outcome.end_to_end();
     let correct = outcome.failed == 0 && outcome.problems.is_empty();
 

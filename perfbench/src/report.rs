@@ -41,6 +41,8 @@ pub fn per_layer() -> Vec<(String, &'static str)> {
         ("table.resident_bytes", "bytes"),
         ("profile.exact_ms", "ms"),
         ("profile.approx_ms", "ms"),
+        ("profile.warm_exact_ms", "ms"),
+        ("profile.warm_column_misses", "count"),
         ("profile.stats_ms", "ms"),
         ("profile.histogram_ms", "ms"),
         ("profile.pearson_ms", "ms"),
@@ -122,8 +124,8 @@ pub struct Outcome {
     pub peak_rss_mb: f64,
     /// Per-layer values measured directly (counts, server-side figures).
     pub layers: BTreeMap<String, f64>,
-    /// Work counters per operation, in operation order.
-    pub counts: BTreeMap<String, Vec<f64>>,
+    /// Work counters of the first operation, summed per name.
+    pub counts: BTreeMap<String, f64>,
     /// Output digests that must agree across runs and thread counts.
     pub digests: BTreeMap<String, String>,
     /// Input description (rows, cols, bytes, job spec, rate).
@@ -141,7 +143,7 @@ impl Outcome {
     }
 
     pub fn count(&mut self, name: &str, value: f64) {
-        self.counts.entry(name.to_string()).or_default().push(value);
+        *self.counts.entry(name.to_string()).or_insert(0.0) += value;
     }
 
     /// Record `digest` under `name`, failing if an earlier value differs.
@@ -169,10 +171,8 @@ impl Outcome {
     }
 
     /// Fold spans, counters and direct measurements into the per-layer
-    /// vocabulary. `root` names the span of one operation; `count_ops`
-    /// is how many leading operations the work counters average over,
-    /// fixed per workload so the counters repeat exactly across runs.
-    pub fn per_layer(&self, spans: &[Span], root: &str, count_ops: usize) -> BTreeMap<String, f64> {
+    /// vocabulary. `root` names the span of one operation.
+    pub fn per_layer(&self, spans: &[Span], root: &str) -> BTreeMap<String, f64> {
         let mut values: BTreeMap<String, f64> = BTreeMap::new();
         let op_of = op_membership(spans, root);
         let ops = spans.iter().filter(|s| s.name == root).count().max(1) as f64;
@@ -187,13 +187,7 @@ impl Outcome {
                     .or_insert(0.0) += own / ops;
             }
         }
-        for (name, per_op) in &self.counts {
-            let head = &per_op[..per_op.len().min(count_ops)];
-            values.insert(
-                name.clone(),
-                head.iter().sum::<f64>() / head.len().max(1) as f64,
-            );
-        }
+        values.extend(self.counts.iter().map(|(k, v)| (k.clone(), *v)));
         values.extend(self.layers.iter().map(|(k, v)| (k.clone(), *v)));
         if !self.traced_op_ms.is_empty() && !self.op_ms.is_empty() {
             values.insert(

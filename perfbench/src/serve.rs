@@ -1,10 +1,13 @@
 //! `serve_open_loop`: a `datalens serve` release process driven over REST
 //! and SSE by an open-loop generator.
 //!
-//! One thread submits jobs on a fixed schedule over one keep-alive
+//! Set-up starts a server and creates the sessions, several times; each
+//! repetition then times a burst of jobs run one after another, which
+//! gives the throughput the server sustains. In the open-loop window one
+//! thread submits jobs on a fixed schedule over one keep-alive
 //! connection; a second follows each job's event stream, in submission
-//! order, until its terminal event. Every job is timed from the moment it
-//! was due, so a stall anywhere also delays the jobs queued behind it.
+//! order, until its terminal event. Every job is timed from the moment it was due, so a
+//! stall anywhere also delays the jobs queued behind it.
 
 use std::error::Error;
 use std::io::{BufRead, BufReader};
@@ -25,18 +28,27 @@ use crate::Config;
 type Res<T> = Result<T, Box<dyn Error>>;
 
 const SESSIONS: u64 = 4;
-/// Set-up repetitions: starting a server is quick, so take more.
-const SETUPS: usize = 9;
+/// Set-up repetitions. Each is short, so take many.
+const REPS: usize = 30;
+/// Pause before each repetition. On a shared machine a core can run
+/// 1.5 to 2 times slower for seconds at a time; spreading the
+/// repetitions over several seconds keeps their figures from following
+/// one such stretch.
+const REP_GAP: Duration = Duration::from_millis(250);
+/// Jobs that warm each repetition's server (two per session) before
+/// its burst.
+const WARMUP_JOBS: usize = 2 * SESSIONS as usize;
+/// Jobs per burst.
+const BURST_JOBS: usize = 32;
 /// Nominal arrival rate (jobs/s).
 const RATE: f64 = 100.0;
 const SHORT_RATE: f64 = 50.0;
-/// Closed-loop jobs before the window: warm the server and fix the
-/// reference event signature and result.
-const WARMUP_JOBS: usize = 20;
 /// A run whose generator sent its p99 job later than this after the
 /// due time measured the generator, not the server: it is invalid.
 const LATE_LIMIT_MS: f64 = 10.0;
-const SPEC: &str = r#"{"steps":[{"Detect":{"tools":["sd","iqr","mv_detector"]}},{"Repair":{"tool":"standard_imputer"}}]}"#;
+/// The detectors every job runs; `SPEC` names the same list.
+const TOOLS: [&str; 4] = ["sd", "iqr", "mv_detector", "isolation_forest"];
+const SPEC: &str = r#"{"steps":[{"Detect":{"tools":["sd","iqr","mv_detector","isolation_forest"]}},{"Repair":{"tool":"standard_imputer"}}]}"#;
 const SUBMIT_ROUTE: &str = "http_request_ms{route=\"/sessions/{id}/jobs\"}";
 const EVENTS_ROUTE: &str = "http_request_ms{route=\"/jobs/{id}/events\"}";
 
@@ -200,6 +212,40 @@ fn scrape(client: &Client) -> Res<serde_json::Value> {
     Ok(client.get("/metrics")?.json_body()?)
 }
 
+/// Run `jobs` jobs one after another over `conn`, each submitted once
+/// the previous one's stream has ended. Every stream must pass
+/// [`check_stream`] and match `reference`, which the first good stream
+/// sets. Returns the ids of the jobs that passed; the others count as
+/// failed.
+fn closed_loop(
+    client: &Client,
+    conn: &mut Connection,
+    jobs: usize,
+    reference: &mut Option<String>,
+    out: &mut Outcome,
+) -> Res<Vec<u64>> {
+    let mut passed = Vec::with_capacity(jobs);
+    for k in 0..jobs {
+        out.attempted += 1;
+        let (status, job_id) = submit(client, conn, 1 + k as u64 % SESSIONS)?;
+        let Some(job_id) = job_id else {
+            out.fail(format!("closed-loop submit refused: {status}"));
+            continue;
+        };
+        match (follow(client, job_id)?.signature, reference.as_deref()) {
+            (Err(e), _) => out.fail(format!("job {job_id}: {e}")),
+            (Ok(sig), Some(r)) if sig != r => {
+                out.fail(format!("job {job_id}: events {sig} differ from {r}"))
+            }
+            (Ok(sig), _) => {
+                reference.get_or_insert(sig);
+                passed.push(job_id);
+            }
+        }
+    }
+    Ok(passed)
+}
+
 pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
     let mut out = Outcome::default();
     let hospital = datalens_datasets::registry::dirty("hospital", cfg.seed)
@@ -217,18 +263,31 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
     out.describe("rate_jobs_per_s", rate);
     out.describe("jobs", n_jobs);
 
-    // Set-up: start the server and create the sessions, several times;
-    // the last server stays up for the run.
+    // Reference: the repaired table the served job must return, computed
+    // in-process from the same CSV text.
+    let table = read_csv_str("hospital", &csv, &CsvOptions::default())?;
+    let e = datalens::Engine::new(datalens::EngineConfig {
+        threads: 1,
+        seed: cfg.seed,
+    });
+    let expected = crate::tables::repaired_digest(tr, &e, &table, &TOOLS, "standard_imputer")?;
+
+    // Set-up, repeated: start the server and create the sessions
+    // (timed), warm it, then time a burst. The last server stays up for
+    // the window, warmed by its repetition's jobs.
     let session_body = serde_json::to_vec(&serde_json::json!({
         "fileName": "hospital.csv",
         "csv": csv.clone(),
     }))?;
     let mut server = None;
-    for _ in 0..SETUPS {
+    let mut reference = None;
+    let (mut burst_jobs, mut burst_secs) = (0, 0.0);
+    for rep in 0..REPS {
         drop(server.take()); // stop the previous repetition's server first
+        std::thread::sleep(REP_GAP);
         let start = Instant::now();
         let s = Server::start(cfg)?;
-        let client = Client::new(s.addr);
+        let client = Client::new(s.addr).with_timeout(Duration::from_secs(60));
         for _ in 0..SESSIONS {
             let resp = client.post("/sessions", session_body.clone())?;
             if resp.status != 201 {
@@ -237,37 +296,12 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
         }
         out.setup_s.push(start.elapsed().as_secs_f64());
         server = Some(s);
-    }
-    let server = server.ok_or("no set-up ran")?;
-    let client = Client::new(server.addr).with_timeout(Duration::from_secs(60));
 
-    // Reference: the repaired table the served job must return, computed
-    // in-process from the same CSV text.
-    let table = read_csv_str("hospital", &csv, &CsvOptions::default())?;
-    let e = datalens::Engine::new(datalens::EngineConfig {
-        threads: 1,
-        seed: cfg.seed,
-    });
-    let expected = crate::tables::repaired_digest(
-        tr,
-        &e,
-        &table,
-        &["sd", "iqr", "mv_detector"],
-        "standard_imputer",
-    )?;
-
-    // Warm-up, closed loop: every stream and the first result checked.
-    let mut conn = client.connect()?;
-    let mut reference_signature = None;
-    for k in 0..WARMUP_JOBS {
-        let session = 1 + k as u64 % SESSIONS;
-        let (status, job_id) = submit(&client, &mut conn, session)?;
-        let job_id = job_id.ok_or_else(|| format!("warm-up submit refused: {status}"))?;
-        let followed = follow(&client, job_id)?;
-        let signature = followed
-            .signature
-            .map_err(|e| format!("warm-up job {job_id}: {e}"))?;
-        if k == 0 {
+        let mut conn = client.connect()?;
+        let warm = closed_loop(&client, &mut conn, WARMUP_JOBS, &mut reference, &mut out)?;
+        if rep == 0 {
+            // The served result must equal the in-process one.
+            let job_id = *warm.first().ok_or("no warm-up job passed")?;
             let result: serde_json::Value =
                 client.get(&format!("/jobs/{job_id}/result"))?.json_body()?;
             let served = result["outcome"]["repaired_csv"]
@@ -276,20 +310,21 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
             out.check_digest("hospital.repaired_csv", expected.clone());
             out.check_digest("hospital.repaired_csv", digest(served.as_bytes()));
         }
-        match &reference_signature {
-            None => reference_signature = Some(signature),
-            Some(r) if *r != signature => out.fail(format!(
-                "warm-up job {job_id}: events {signature} differ from {r}"
-            )),
-            Some(_) => {}
-        }
+        let start = Instant::now();
+        let burst = closed_loop(&client, &mut conn, BURST_JOBS, &mut reference, &mut out)?;
+        burst_secs += start.elapsed().as_secs_f64();
+        burst_jobs += burst.len();
     }
-    let reference_signature = reference_signature.unwrap_or_default();
+    let server = server.ok_or("no set-up ran")?;
+    out.rows_per_s = rows as f64 * burst_jobs as f64 / burst_secs;
+    let reference_signature = reference.ok_or("no closed-loop job passed")?;
     out.digests.insert(
         "serve.event_signature".into(),
         digest(reference_signature.as_bytes()),
     );
 
+    let client = Client::new(server.addr).with_timeout(Duration::from_secs(60));
+    let mut conn = client.connect()?;
     let before = scrape(&client)?;
     tr.set_enabled(cfg.trace);
     let completed = AtomicU64::new(0);
@@ -340,7 +375,6 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
             let mut latency = Vec::new();
             let mut first_event = Vec::new();
             let mut problems = Vec::new();
-            let mut last_terminal = t0;
             for job in rx {
                 let followed = follow(client_ref, job.job_id);
                 completed.fetch_add(1, Ordering::SeqCst);
@@ -360,7 +394,6 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
                 let ms = (f.terminal - job.due).as_secs_f64() * 1e3;
                 latency.push((traced, ms));
                 first_event.push((f.first_event - f.subscribed).as_secs_f64() * 1e3);
-                last_terminal = last_terminal.max(f.terminal);
                 if traced {
                     let id = Some(job.job_id);
                     let root = tr.record("loadgen.job", job.due, f.terminal, None, id);
@@ -370,7 +403,7 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
                     tr.record("rest.sse_first", f.subscribed, f.first_event, sse, id);
                 }
             }
-            (latency, first_event, problems, last_terminal)
+            (latency, first_event, problems)
         });
         (
             submitter.join().expect("submitter thread panicked"),
@@ -383,11 +416,13 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
     drop(server);
 
     let (lateness, rtt, backlog_max, refused) = submitter;
-    let (latency, first_event, problems, last_terminal) = follower;
-    out.attempted = n_jobs as u64;
+    let (latency, first_event, problems) = follower;
+    out.attempted += n_jobs as u64;
+    let accepted = n_jobs.saturating_sub(refused.len());
     for p in refused.into_iter().chain(problems) {
         out.fail(p);
     }
+    let all: Vec<f64> = latency.iter().map(|l| l.1).collect();
     for (traced, ms) in &latency {
         if cfg.trace && *traced {
             out.traced_op_ms.push(*ms);
@@ -395,9 +430,6 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
             out.op_ms.push(*ms);
         }
     }
-    let all: Vec<f64> = latency.iter().map(|l| l.1).collect();
-    let ok_jobs = out.attempted - out.failed;
-    out.rows_per_s = rows as f64 * ok_jobs as f64 / (last_terminal - t0).as_secs_f64();
     let late_p99 = quantile(&lateness, 0.99);
     if late_p99 > LATE_LIMIT_MS {
         out.problems.push(format!(
@@ -430,7 +462,7 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
         (
             "jobs.stage_ms",
             histogram_family_delta(&before, &after, "engine_stage_ms", "sum")
-                / ok_jobs.max(1) as f64,
+                / accepted.max(1) as f64,
         ),
         (
             "health.shed_total",
@@ -441,4 +473,61 @@ pub fn serve_open_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
         out.layers.insert(name.to_string(), value);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stream(events: &[(&str, &str)]) -> Vec<SseEvent> {
+        events
+            .iter()
+            .enumerate()
+            .map(|(i, (event, data))| SseEvent {
+                event: event.to_string(),
+                id: Some(i.to_string()),
+                data: data.to_string(),
+            })
+            .collect()
+    }
+
+    const STEP: &str = r#"{"stage":"detect","detail":"sd","flagsProduced":3}"#;
+
+    #[test]
+    fn spec_runs_the_reference_tools() {
+        let spec: serde_json::Value = serde_json::from_str(SPEC).expect("spec json");
+        let tools: Vec<&str> = spec["steps"][0]["Detect"]["tools"]
+            .as_array()
+            .expect("tool list")
+            .iter()
+            .filter_map(|t| t.as_str())
+            .collect();
+        assert_eq!(tools, TOOLS);
+    }
+
+    #[test]
+    fn check_stream_accepts_plan_progress_result() {
+        let ok = stream(&[("plan", "{}"), ("progress", STEP), ("result", "{}")]);
+        assert_eq!(check_stream(&ok).as_deref(), Ok("detect[sd]=3"));
+    }
+
+    #[test]
+    fn check_stream_rejects_bad_shapes() {
+        for bad in [
+            stream(&[("plan", "{}"), ("result", "{}")]),
+            stream(&[("progress", STEP), ("result", "{}")]),
+            stream(&[
+                ("plan", "{}"),
+                ("progress", STEP),
+                ("result", "{}"),
+                ("result", "{}"),
+            ]),
+            stream(&[("plan", "{}"), ("progress", STEP), ("failed", "{}")]),
+        ] {
+            assert!(check_stream(&bad).is_err());
+        }
+        let mut gap = stream(&[("plan", "{}"), ("progress", STEP), ("result", "{}")]);
+        gap[2].id = Some("3".into());
+        assert!(check_stream(&gap).is_err());
+    }
 }

@@ -1,6 +1,6 @@
-//! The in-process workloads: `bulk_clean`, `edit_loop` and
-//! `paper_pipeline`. Each drives the library's public API directly and
-//! wraps every call into a layer in a span.
+//! The in-process workloads: `bulk_clean` and `paper_pipeline`. Each
+//! drives the library's public API directly and wraps every call into a
+//! layer in a span.
 
 use std::error::Error;
 use std::fs;
@@ -13,8 +13,8 @@ use datalens_delta::DeltaTable;
 use datalens_detect::{detector_by_name, ConsolidatedDetections, DetectionContext};
 use datalens_fd::RuleSet;
 use datalens_profile::{
-    alerts, correlation::correlation_matrix, stats, CorrelationKind, Histogram, ProfileCache,
-    ProfileMode, ProfileReport,
+    alerts, correlation::correlation_matrix, stats, CacheStats, CorrelationKind, Histogram,
+    ProfileCache, ProfileMode, ProfileReport,
 };
 use datalens_repair::{repairer_by_name, RepairContext, RepairResult};
 use datalens_table::csv::{read_csv_path, read_csv_str, write_csv_str, CsvOptions};
@@ -41,9 +41,6 @@ const PAPER_TOOLS: [&str; 7] = [
 ];
 const PAPER_DATASETS: [&str; 3] = ["hospital", "beers", "nasa"];
 const TANE_G3: f64 = 0.1;
-/// Edits always run per `edit_loop` run, whatever `--seconds` says; the
-/// work counters average over exactly these.
-pub const MIN_EDITS: usize = 6;
 const CATEGORIES: [&[&str]; 4] = [
     &["red", "green", "blue", "amber", "violet"],
     &[
@@ -183,32 +180,14 @@ fn check_outputs(
     ok_profile && ok_flags && ok_repair
 }
 
-fn cache_delta(
-    out: &mut Outcome,
-    cache: &ProfileCache,
-    before: datalens_profile::CacheStats,
-    count: bool,
-) {
-    if !count {
-        return;
-    }
+/// Count the misses and merges `cache` took since `before`.
+fn cache_delta(out: &mut Outcome, cache: &ProfileCache, before: CacheStats) {
     let after = cache.stats();
-    out.count(
-        "profile.column_misses",
-        (after.column_misses - before.column_misses) as f64,
-    );
-    out.count(
-        "profile.pair_misses",
-        (after.pair_misses - before.pair_misses) as f64,
-    );
-    out.count(
-        "profile.chunk_misses",
-        (after.chunk_misses - before.chunk_misses) as f64,
-    );
-    out.count(
-        "profile.sketch_merges",
-        (after.sketch_merges - before.sketch_merges) as f64,
-    );
+    let grew = |f: fn(&CacheStats) -> u64| (f(&after) - f(&before)) as f64;
+    out.count("profile.column_misses", grew(|s| s.column_misses));
+    out.count("profile.pair_misses", grew(|s| s.pair_misses));
+    out.count("profile.chunk_misses", grew(|s| s.chunk_misses));
+    out.count("profile.sketch_merges", grew(|s| s.sketch_merges));
 }
 
 /// Time the profile's sub-phases by calling their public functions on
@@ -255,6 +234,32 @@ fn time_subphases(tr: &Tracer, table: &Table, out: &mut Outcome) {
     });
 }
 
+/// Time an exact re-profile after a one-cell edit, through an engine
+/// whose cache already holds the table's profile (traced runs only;
+/// outside any operation).
+fn time_warm_reprofile(tr: &Tracer, table: &Table, seed: u64, out: &mut Outcome) -> Res<()> {
+    let _root = tr.enter("reprofile");
+    let e = engine(0, seed);
+    std::hint::black_box(e.profile(table));
+    let mut edited = table.clone();
+    let col = (0..edited.n_cols())
+        .find(|&c| edited.columns()[c].dtype() == DataType::Float)
+        .ok_or("synthetic table has no float column")?;
+    edited.set(CellRef::new(edited.n_rows() / 2, col), Value::Float(1.0e6))?;
+    let before = e.profile_cache().stats();
+    let start = Instant::now();
+    {
+        let _s = tr.enter("profile.warm_exact");
+        std::hint::black_box(e.profile(&edited));
+    }
+    out.layers
+        .insert("profile.warm_exact_ms".into(), ms_since(start));
+    let misses = e.profile_cache().stats().column_misses - before.column_misses;
+    out.layers
+        .insert("profile.warm_column_misses".into(), misses as f64);
+    Ok(())
+}
+
 fn record_table_shape(out: &mut Outcome, table: &Table) {
     out.layers
         .insert("table.chunks".into(), table.chunk_count() as f64);
@@ -272,19 +277,15 @@ fn finish_ingest_rate(out: &mut Outcome, ingest_ms: &[f64], bytes: u64) {
     }
 }
 
-fn describe_bulk(out: &mut Outcome, rows: usize, bytes: u64) {
-    out.describe("rows", rows);
-    out.describe("cols", 13u64);
-    out.describe("input_bytes", bytes);
-}
-
-/// `bulk_clean`: the cold, scan-heavy path with a fresh engine per pass.
+/// `bulk_clean`: the cold, scan-heavy path with fresh engines per pass.
 pub fn bulk_clean(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
     let mut out = Outcome::default();
     let rows = bulk_rows(cfg);
     let csv = cfg.work.join("bulk.csv");
     let bytes = write_bulk_csv(&csv, rows, cfg.seed)?;
-    describe_bulk(&mut out, rows, bytes);
+    out.describe("rows", rows);
+    out.describe("cols", 13u64);
+    out.describe("input_bytes", bytes);
     out.describe("pipeline", "ingest→profile[approx]→profile[exact]→detect[sd,iqr,mv_detector]→consolidate→repair[standard_imputer]→delta create+commit→quality");
 
     // Set-up: ingest, cold exact profile and delta create on one engine
@@ -352,7 +353,9 @@ pub fn bulk_clean(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
         if cfg.trace {
             tr.set_enabled(true);
             time_subphases(tr, &table, &mut out);
+            let warm = time_warm_reprofile(tr, &table, cfg.seed, &mut out);
             tr.set_enabled(false);
+            warm?;
         }
     }
     Ok(out)
@@ -369,24 +372,28 @@ fn bulk_pass(
     count: bool,
 ) -> Res<PassOutput> {
     let _op = tr.enter("op.pass");
-    let e = engine(0, seed);
-    let cache = e.profile_cache();
     let start = Instant::now();
     let table = {
         let _s = tr.enter("table.ingest");
         read_csv_path(csv, &CsvOptions::default())?
     };
     let ingest_ms = ms_since(start);
-    let before = cache.stats();
+    // Approx and exact each build on an engine of their own, so both
+    // start from a cold cache at the same thread count.
+    let approx = engine(0, seed);
     {
         let _s = tr.enter("profile.approx");
-        std::hint::black_box(e.profile_with_mode(&table, ProfileMode::Approx));
+        std::hint::black_box(approx.profile_with_mode(&table, ProfileMode::Approx));
     }
+    let e = engine(0, seed);
     let (report, _) = {
         let _s = tr.enter("profile.exact");
         e.profile_with_mode(&table, ProfileMode::Exact)
     };
-    cache_delta(out, cache, before, count);
+    if count {
+        cache_delta(out, approx.profile_cache(), CacheStats::default());
+        cache_delta(out, e.profile_cache(), CacheStats::default());
+    }
     let rules = RuleSet::new();
     let cleaned = detect_and_repair(
         tr,
@@ -416,138 +423,6 @@ fn bulk_pass(
         std::hint::black_box(e.quality(&table, &rules, cleaned.merged.total()));
     }
     Ok((table, report, cleaned, ingest_ms))
-}
-
-/// `edit_loop`: one-cell edits, each followed by a warm exact re-profile
-/// through the same engine and a delta commit.
-pub fn edit_loop(cfg: &Config, tr: &Tracer) -> Res<Outcome> {
-    let mut out = Outcome::default();
-    let rows = bulk_rows(cfg);
-    let csv = cfg.work.join("bulk.csv");
-    let bytes = write_bulk_csv(&csv, rows, cfg.seed)?;
-    describe_bulk(&mut out, rows, bytes);
-    out.describe(
-        "pipeline",
-        "closed loop: set one cell → profile[exact, warm cache] → delta commit",
-    );
-
-    // Set-up: ingest, cold exact profile, delta create. The last
-    // repetition's engine, table and delta table carry into the loop.
-    let mut state = None;
-    for i in 0..SETUPS {
-        drop(state.take()); // free the previous repetition before timing
-        let dir = cfg.work.join(format!("setup{i}"));
-        let start = Instant::now();
-        let e = engine(0, cfg.seed);
-        let table = read_csv_path(&csv, &CsvOptions::default())?;
-        let (report, _) = e.profile(&table);
-        let delta = DeltaTable::create(&dir, &table, "INGEST")?;
-        out.setup_s.push(start.elapsed().as_secs_f64());
-        out.check_digest("edit.initial_profile", digest_json(&report));
-        if i + 1 < SETUPS {
-            fs::remove_dir_all(&dir)?;
-        }
-        state = Some((e, table, delta, dir));
-    }
-    let (e, mut table, delta, dir) = state.ok_or("no set-up ran")?;
-    record_table_shape(&mut out, &table);
-
-    let numeric: Vec<usize> = (0..table.n_cols())
-        .filter(|&c| table.columns()[c].dtype() != DataType::Str && c != 0)
-        .collect();
-    let strings: Vec<usize> = (0..table.n_cols())
-        .filter(|&c| table.columns()[c].dtype() == DataType::Str)
-        .collect();
-    if numeric.is_empty() || strings.is_empty() {
-        return Err("synthetic table lost its numeric or string columns".into());
-    }
-    let mut rng = Rng::new(cfg.seed.wrapping_add(17));
-    // The table and warm report after the first MIN_EDITS edits: fixed by
-    // the seed, so their digest repeats across runs of any length.
-    let mut checkpoint = None;
-    let started = Instant::now();
-    let mut i = 0;
-    while i < MIN_EDITS || started.elapsed().as_secs_f64() < cfg.seconds {
-        let col = if i % 2 == 0 {
-            numeric[rng.below(numeric.len() as u64) as usize]
-        } else {
-            strings[rng.below(strings.len() as u64) as usize]
-        };
-        let cell = CellRef::new(rng.below(rows as u64) as usize, col);
-        let value = match table.columns()[col].dtype() {
-            DataType::Int => Value::Int(1_000_000 + i as i64),
-            DataType::Str => Value::Str(format!("edit{i}")),
-            _ => Value::Float(1.0e6 + i as f64 + 0.25),
-        };
-        let traced = cfg.trace && i % 2 == 0;
-        let count = i < MIN_EDITS;
-        let before = e.profile_cache().stats();
-        let (b0, f0) = dir_usage(&dir);
-        out.attempted += 1;
-        tr.set_enabled(traced);
-        let start = Instant::now();
-        let step = (|| -> Res<ProfileReport> {
-            let _op = tr.enter("op.edit");
-            {
-                let _s = tr.enter("table.set");
-                table.set(cell, value)?;
-            }
-            let (report, _) = {
-                let _s = tr.enter("profile.exact");
-                e.profile(&table)
-            };
-            {
-                let _s = tr.enter("delta.commit");
-                delta.commit(&table, "EDIT")?;
-            }
-            Ok(report)
-        })();
-        let ms = ms_since(start);
-        tr.set_enabled(false);
-        match step {
-            Ok(report) => {
-                if traced {
-                    out.traced_op_ms.push(ms);
-                } else {
-                    out.op_ms.push(ms);
-                }
-                if i + 1 == MIN_EDITS {
-                    checkpoint = Some((table.clone(), report));
-                }
-            }
-            Err(err) => out.fail(format!("edit {i}: {err}")),
-        }
-        cache_delta(&mut out, e.profile_cache(), before, count);
-        if count {
-            let (b1, f1) = dir_usage(&dir);
-            out.count("delta.bytes_per_commit", (b1 - b0) as f64);
-            out.count("delta.files_per_commit", (f1 - f0) as f64);
-        }
-        i += 1;
-    }
-    let total_ms: f64 = out.op_ms.iter().chain(&out.traced_op_ms).sum();
-    out.rows_per_s = rows as f64 * (out.attempted - out.failed) as f64 / (total_ms / 1e3);
-    out.peak_rss_mb = peak_rss_mb("self");
-
-    // Correctness: the warm report at the checkpoint equals a cold
-    // single-thread build of that table, and the last commit reads back
-    // as the final table.
-    let (edited, warm) = checkpoint.ok_or("an early edit failed")?;
-    let (cold, _) = engine(1, cfg.seed).profile(&edited);
-    if digest_json(&warm) != digest_json(&cold) {
-        out.fail("warm re-profile differs from a cold single-thread profile".into());
-    }
-    out.check_digest("edit.checkpoint_profile", digest_json(&cold));
-    let committed = delta.load()?;
-    if digest(write_csv_str(&committed).as_bytes()) != digest(write_csv_str(&table).as_bytes()) {
-        out.fail("last delta commit does not read back as the edited table".into());
-    }
-    if cfg.trace {
-        tr.set_enabled(true);
-        time_subphases(tr, &table, &mut out);
-        tr.set_enabled(false);
-    }
-    Ok(out)
 }
 
 /// `paper_pipeline`: the one-click pipeline over the seeded dirty
@@ -692,7 +567,9 @@ fn paper_pass(
             let _s = tr.enter("profile.exact");
             e.profile(&table)
         };
-        cache_delta(out, e.profile_cache(), before, count);
+        if count {
+            cache_delta(out, e.profile_cache(), before);
+        }
         let (rules, _) = {
             let _s = tr.enter("fd.tane");
             e.mine_rules(
@@ -725,14 +602,6 @@ fn paper_pass(
     }
     if count {
         out.count("fd.rules_found", rules_found as f64);
-        // Counters were pushed once per dataset; fold them into one
-        // per-pass total each.
-        for per_op in out.counts.values_mut() {
-            if per_op.len() == inputs.len() {
-                let total: f64 = per_op.drain(..).sum();
-                per_op.push(total);
-            }
-        }
     }
     Ok((results, ingest_ms))
 }

@@ -62,9 +62,7 @@ class ShortRuns(unittest.TestCase):
             self.assertIsInstance(v["value"], (int, float))
 
     def test_workloads(self):
-        # edit_loop is not in BENCHMARK.json (see README.md) but stays
-        # runnable by name, so it is tested with the others.
-        for name in [w["name"] for w in SPEC["workloads"]] + ["edit_loop"]:
+        for name in [w["name"] for w in SPEC["workloads"]]:
             with self.subTest(workload=name):
                 code, plain, plain_report = run(name, 0)
                 self.check_result(code, plain, SPEC["end_to_end"])
