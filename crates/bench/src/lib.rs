@@ -11,12 +11,11 @@
 //! | `fig5` | Figure 5a/5b — iterative cleaning score vs iterations |
 //! | `ablation` | Min-K sweep, TPE vs random vs grid, noisy-user RAHA |
 //!
-//! Criterion performance benches for the substrates live in `benches/`.
-//! [`perf`] holds their shared speedup bookkeeping (including the
-//! `"speedup": null` contract for hosts where the pool degenerates).
+//! Criterion performance benches for the substrates live in `benches/`;
+//! the end-to-end benchmark with its per-layer breakdown is the
+//! separate `perfbench/` package.
 
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod perf;

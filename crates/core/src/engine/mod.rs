@@ -1,6 +1,7 @@
-//! The pipeline execution engine: runs typed [`Stage`]s, times each one
-//! into a [`StageReport`], and fans independent detect stages out across
-//! scoped threads.
+//! The pipeline execution engine: one method per pipeline stage, each
+//! calling its library function through one timing helper that builds
+//! the stage's [`StageReport`], and a detect fan-out across scoped
+//! threads.
 //!
 //! Determinism guarantee: detector results are collected by input index
 //! and the consolidate stage sorts detections by tool name before
@@ -14,17 +15,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use datalens_detect::{ConsolidatedDetections, Detection, DetectionContext, Detector};
-use datalens_fd::{FdRule, RuleSet};
+use datalens_fd::{hyfd, tane, FdRule, HyFdConfig, RuleSet, TaneConfig};
 use datalens_obs::{labeled, Registry};
-use datalens_profile::{ProfileCache, ProfileMode, ProfileReport};
+use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileMode, ProfileReport};
 use datalens_repair::{RepairContext, RepairResult, Repairer};
 use datalens_table::{CellRef, Table};
 
 pub use report::{render_stage_reports, StageKind, StageReport};
-pub use stages::{
-    ConsolidateStage, DetectStage, MineRulesStage, MinerSpec, ProfileStage, QualityStage,
-    RepairStage, Stage,
-};
+pub use stages::MinerSpec;
 
 use crate::quality::QualityMetrics;
 
@@ -85,25 +83,32 @@ impl Engine {
         }
     }
 
-    /// Run one stage, timing it into a [`StageReport`]. `dims` is the
-    /// (rows, cells) volume of the input the stage scans.
-    pub fn run<'a, S: Stage<'a>>(
+    /// Time one stage: run `work`, measure its wall time into a
+    /// [`StageReport`] and, with a registry attached, observe it into
+    /// the per-stage latency histogram (`engine_stage_ms{stage=…}`).
+    /// `dims` is the (rows, cells) volume of the input the stage scans;
+    /// `flags` counts the detections, rules or repairs in the output.
+    ///
+    /// Every stage report the program produces is built here, so the
+    /// dashboard panel, job progress events and metrics read one number.
+    pub(crate) fn timed<T>(
         &self,
-        stage: &S,
-        input: S::Input,
+        kind: StageKind,
+        detail: &str,
         dims: (usize, usize),
-    ) -> (S::Output, StageReport) {
+        work: impl FnOnce() -> T,
+        flags: impl FnOnce(&T) -> usize,
+    ) -> (T, StageReport) {
         let start = Instant::now();
-        let output = stage.execute(input);
+        let output = work();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let flags = stage.flags(&output);
         let report = StageReport {
-            stage: stage.kind().as_str().to_string(),
-            detail: stage.detail().to_string(),
+            stage: kind.as_str().to_string(),
+            detail: detail.to_string(),
             wall_ms,
             rows_processed: dims.0,
             cells_processed: dims.1,
-            flags_produced: flags,
+            flags_produced: flags(&output),
         };
         if let Some(metrics) = &self.metrics {
             metrics
@@ -134,13 +139,22 @@ impl Engine {
         table: &Table,
         mode: ProfileMode,
     ) -> (ProfileReport, StageReport) {
-        let stage = ProfileStage {
-            threads: self.effective_threads(),
-            cache: Some(Arc::clone(&self.profile_cache)),
-            mode,
-        };
         let before = self.profile_cache.stats();
-        let out = self.run(&stage, table, table_dims(table));
+        let config = ProfileConfig {
+            mode,
+            ..ProfileConfig::default()
+        };
+        let options = BuildOptions {
+            threads: self.effective_threads(),
+            cache: Some(self.profile_cache.as_ref()),
+        };
+        let out = self.timed(
+            StageKind::Profile,
+            "",
+            table_dims(table),
+            || ProfileReport::build_with(table, &config, &options),
+            |_| 0,
+        );
         if let Some(metrics) = &self.metrics {
             let after = self.profile_cache.stats();
             metrics
@@ -174,7 +188,33 @@ impl Engine {
 
     /// Mine FD rules.
     pub fn mine_rules(&self, table: &Table, spec: MinerSpec) -> (Vec<FdRule>, StageReport) {
-        self.run(&MineRulesStage { spec }, table, table_dims(table))
+        let work = || match spec {
+            MinerSpec::Tane { max_g3_error } => tane(
+                table,
+                &TaneConfig {
+                    max_g3_error,
+                    ..TaneConfig::default()
+                },
+            ),
+            MinerSpec::HyFd { seed } => hyfd(
+                table,
+                &HyFdConfig {
+                    seed,
+                    ..HyFdConfig::default()
+                },
+            ),
+        };
+        let detail = match spec {
+            MinerSpec::Tane { .. } => "tane",
+            MinerSpec::HyFd { .. } => "hyfd",
+        };
+        self.timed(
+            StageKind::MineRules,
+            detail,
+            table_dims(table),
+            work,
+            Vec::len,
+        )
     }
 
     /// Run every detector over the table, one detect stage per tool.
@@ -221,17 +261,34 @@ impl Engine {
         ctx: &DetectionContext,
         detector: &dyn Detector,
     ) -> (Detection, StageReport) {
-        self.run(&DetectStage { detector }, (table, ctx), table_dims(table))
+        self.timed(
+            StageKind::Detect,
+            detector.name(),
+            table_dims(table),
+            || detector.detect(table, ctx),
+            Detection::len,
+        )
     }
 
-    /// Consolidate per-tool detections in deterministic (name-sorted)
-    /// order. `dims` is the (rows, cells) shape of the detected table.
+    /// Consolidate per-tool detections. Detections are sorted by tool
+    /// name first, so the merged output is identical no matter in which
+    /// order (or on which thread) the detect stages finished. `dims` is
+    /// the (rows, cells) shape of the detected table.
     pub fn consolidate(
         &self,
-        detections: Vec<Detection>,
+        mut detections: Vec<Detection>,
         dims: (usize, usize),
     ) -> (ConsolidatedDetections, StageReport) {
-        self.run(&ConsolidateStage, detections, dims)
+        self.timed(
+            StageKind::Consolidate,
+            "",
+            dims,
+            || {
+                detections.sort_by(|a, b| a.tool.cmp(&b.tool));
+                ConsolidatedDetections::merge(detections)
+            },
+            ConsolidatedDetections::total,
+        )
     }
 
     /// Repair the flagged cells.
@@ -242,10 +299,12 @@ impl Engine {
         ctx: &RepairContext,
         repairer: &dyn Repairer,
     ) -> (RepairResult, StageReport) {
-        self.run(
-            &RepairStage { repairer },
-            (table, errors, ctx),
+        self.timed(
+            StageKind::Repair,
+            repairer.name(),
             table_dims(table),
+            || repairer.repair(table, errors, ctx),
+            RepairResult::n_repaired,
         )
     }
 
@@ -256,7 +315,13 @@ impl Engine {
         rules: &RuleSet,
         flagged: usize,
     ) -> (QualityMetrics, StageReport) {
-        self.run(&QualityStage, (table, rules, flagged), table_dims(table))
+        self.timed(
+            StageKind::QualityEval,
+            "",
+            table_dims(table),
+            || QualityMetrics::compute(table, rules, flagged),
+            |_| 0,
+        )
     }
 }
 
@@ -266,7 +331,8 @@ impl Default for Engine {
     }
 }
 
-fn table_dims(table: &Table) -> (usize, usize) {
+/// The (rows, cells) volume a stage over `table` scans.
+pub(crate) fn table_dims(table: &Table) -> (usize, usize) {
     (table.n_rows(), table.n_rows() * table.n_cols())
 }
 
@@ -309,6 +375,19 @@ mod tests {
         assert_eq!(stage.rows_processed, t.n_rows());
         assert_eq!(stage.cells_processed, t.n_rows() * t.n_cols());
         assert!(stage.wall_ms >= 0.0);
+        // Mining reports the miner as its detail and the rule count as
+        // its flags.
+        for (spec, name) in [
+            (MinerSpec::Tane { max_g3_error: 0.0 }, "tane"),
+            (MinerSpec::HyFd { seed: 1 }, "hyfd"),
+        ] {
+            let (rules, stage) = engine(1).mine_rules(&t, spec);
+            assert_eq!(
+                (stage.stage.as_str(), stage.detail.as_str()),
+                ("mine_rules", name)
+            );
+            assert_eq!(stage.flags_produced, rules.len());
+        }
     }
 
     #[test]
@@ -324,6 +403,12 @@ mod tests {
         let par_tools: Vec<&str> = par_reports.iter().map(|r| r.detail.as_str()).collect();
         assert_eq!(seq_tools, tools.to_vec());
         assert_eq!(par_tools, tools.to_vec());
+        // Each detect report counts its tool's flagged cells.
+        for (det, report) in seq.iter().zip(&seq_reports) {
+            assert_eq!(report.stage, "detect");
+            assert_eq!(report.flags_produced, det.len());
+        }
+        assert_eq!(seq_reports[2].flags_produced, 1); // the one null cell
     }
 
     #[test]
@@ -332,10 +417,14 @@ mod tests {
         let ctx = DetectionContext::default();
         let e = engine(1);
         let (mut dets, _) = e.detect_all(&t, &ctx, &detectors(&["sd", "mv_detector", "iqr"]));
-        let (a, _) = e.consolidate(dets.clone(), table_dims(&t));
+        let (a, report) = e.consolidate(dets.clone(), table_dims(&t));
         dets.reverse();
         let (b, _) = e.consolidate(dets, table_dims(&t));
         assert_eq!(a, b);
+        // The merge is name-sorted and flags every flagged cell.
+        let tools: Vec<&str> = a.per_tool.iter().map(|d| d.tool.as_str()).collect();
+        assert_eq!(tools, vec!["iqr", "mv_detector", "sd"]);
+        assert_eq!(report.flags_produced, a.total());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Per-stage instrumentation: every stage the engine executes produces a
+//! Per-stage instrumentation: every stage the engine times produces a
 //! [`StageReport`] with its wall-time and the volume of data it touched.
 //! Reports are persisted as run metrics in `datalens-tracking`, rendered
 //! in the dashboard's summary panel, and embedded in DataSheets.
 
 use serde::{Deserialize, Serialize};
 
-/// The pipeline stages the engine knows how to execute.
+/// The pipeline stages the engine times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// Build the data profile (`datalens-profile`).
@@ -20,6 +20,10 @@ pub enum StageKind {
     Repair,
     /// Compute the Data Quality panel metrics.
     QualityEval,
+    /// The §4 iterative-cleaning search (a job step).
+    IterativeClean,
+    /// A cooperative sleep (a job step for scheduling tests and demos).
+    Sleep,
 }
 
 impl StageKind {
@@ -32,6 +36,8 @@ impl StageKind {
             StageKind::Consolidate => "consolidate",
             StageKind::Repair => "repair",
             StageKind::QualityEval => "quality_eval",
+            StageKind::IterativeClean => "iterative_clean",
+            StageKind::Sleep => "sleep",
         }
     }
 }
@@ -158,5 +164,7 @@ mod tests {
         assert_eq!(StageKind::Consolidate.as_str(), "consolidate");
         assert_eq!(StageKind::Repair.as_str(), "repair");
         assert_eq!(StageKind::QualityEval.as_str(), "quality_eval");
+        assert_eq!(StageKind::IterativeClean.as_str(), "iterative_clean");
+        assert_eq!(StageKind::Sleep.as_str(), "sleep");
     }
 }

@@ -14,7 +14,7 @@
 //! - **jobs** are engine stage chains ([`JobSpec`]) with states
 //!   `Queued → Running → Done | Failed | Cancelled`, cooperative
 //!   cancellation checked between stages, and live per-stage
-//!   [`StageReport`] progress;
+//!   [`StageReport`](crate::engine::StageReport) progress;
 //! - **scheduling**: same-session jobs run in strict FIFO submission
 //!   order (the session lock plus the ready-queue invariant), while
 //!   jobs of distinct sessions fan out across the pool;
@@ -53,7 +53,7 @@ pub use job::{
 pub use session::SessionInfo;
 
 use crate::controller::{DashboardConfig, DashboardController};
-use crate::engine::StageReport;
+use crate::engine::{table_dims, StageKind};
 use crate::error::DataLensError;
 use crate::iterative::{run_iterative_cleaning, IterativeCleaningConfig};
 use job::JobInner;
@@ -590,12 +590,6 @@ fn run_job(inner: &Inner, session_id: u64, job: &JobInner) {
     // The controller lock is taken per step (inside `run_step`), never
     // across the whole loop: a multi-second `Sleep` step must not stall
     // REST handlers that need the same session's controller.
-    let mut cursor = slot
-        .controller
-        .lock()
-        .stage_reports()
-        .map(<[_]>::len)
-        .unwrap_or(0);
     let mut outcome = Ok(());
     let mut cancelled = false;
     for step in &job.spec.steps {
@@ -603,7 +597,7 @@ fn run_job(inner: &Inner, session_id: u64, job: &JobInner) {
             cancelled = true;
             break;
         }
-        outcome = run_step(inner, &slot.controller, job, step, &mut cursor);
+        outcome = run_step(inner, &slot.controller, job, step);
         if outcome.is_err() {
             break;
         }
@@ -626,25 +620,27 @@ fn run_job(inner: &Inner, session_id: u64, job: &JobInner) {
     finish_bookkeeping(inner, job);
 }
 
-/// Run one step, appending the engine stage reports it produced (plus
-/// synthesised reports for stages the controller does not instrument)
-/// and folding its numbers into the job outcome.
+/// Run one step, appending the stage reports it produced and folding
+/// its numbers into the job outcome.
 ///
 /// Takes the controller *mutex*, not a held guard: each arm locks only
 /// around the controller work it actually does, and alert publication
-/// and job bookkeeping run after the guard is dropped. `Sleep` never
-/// touches the controller at all.
+/// and job bookkeeping run after the guard is dropped. The arms that
+/// drive the controller take their reports from the tail of its report
+/// list, read under the same guard as the work; `IterativeClean` and
+/// `Sleep` time themselves through the session engine's stage helper
+/// and run with no guard held.
 fn run_step(
     inner: &Inner,
     ctrl: &Mutex<DashboardController>,
     job: &JobInner,
     step: &JobStep,
-    cursor: &mut usize,
 ) -> Result<(), DataLensError> {
     match step {
         JobStep::Profile => {
             let (summary, quality_alerts, reports) = {
                 let mut c = ctrl.lock();
+                let before = c.stage_reports()?.len();
                 // A spec-level mode overrides the service default the
                 // controller was configured with.
                 let p = match job.spec.profile_mode {
@@ -657,8 +653,11 @@ fn run_step(
                     missing_cells: p.table.missing_cells,
                 };
                 let quality_alerts = p.alerts.clone();
-                let reports = drain_reports(&c, cursor);
-                (summary, quality_alerts, reports)
+                (
+                    summary,
+                    quality_alerts,
+                    c.stage_reports()?[before..].to_vec(),
+                )
             };
             for alert in quality_alerts {
                 publish_alert(
@@ -675,8 +674,9 @@ fn run_step(
         JobStep::MineRules { max_g3_error } => {
             let (added, reports) = {
                 let mut c = ctrl.lock();
+                let before = c.stage_reports()?.len();
                 let added = c.discover_rules_approx(*max_g3_error)?;
-                (added, drain_reports(&c, cursor))
+                (added, c.stage_reports()?[before..].to_vec())
             };
             job.record_step(reports, |o| {
                 o.rules_added = Some(o.rules_added.unwrap_or(0) + added)
@@ -686,8 +686,9 @@ fn run_step(
             let refs: Vec<&str> = tools.iter().map(String::as_str).collect();
             let (n, reports) = {
                 let mut c = ctrl.lock();
+                let before = c.stage_reports()?.len();
                 let n = c.run_detection(&refs)?;
-                (n, drain_reports(&c, cursor))
+                (n, c.stage_reports()?[before..].to_vec())
             };
             if n > 0 {
                 publish_alert(
@@ -704,11 +705,11 @@ fn run_step(
         JobStep::Repair { tool } => {
             let (n, csv, version, reports) = {
                 let mut c = ctrl.lock();
+                let before = c.stage_reports()?.len();
                 let n = c.repair(tool)?;
                 let csv = datalens_table::csv::write_csv_str(c.repaired_table()?);
                 let version = c.state()?.repaired_version;
-                let reports = drain_reports(&c, cursor);
-                (n, csv, version, reports)
+                (n, csv, version, c.stage_reports()?[before..].to_vec())
             };
             job.record_step(reports, |o| {
                 o.n_repaired = Some(n);
@@ -721,50 +722,47 @@ fn run_step(
             task,
             iterations,
         } => {
-            let start = Instant::now();
-            let (report, rows, cells, mut reports) = {
+            // Snapshot under a statement-scoped guard, then search with
+            // no lock held: the table clone shares its chunks, and the
+            // TPE search may run for seconds.
+            let (engine, table, rules) = {
                 let c = ctrl.lock();
-                let cfg = IterativeCleaningConfig {
-                    iterations: *iterations,
-                    // Cheap candidate tools: iterative search multiplies
-                    // their cost by the iteration budget.
-                    detectors: vec!["sd".into(), "iqr".into(), "mv_detector".into()],
-                    repairers: vec!["standard_imputer".into(), "ml_imputer".into()],
-                    seed: c.engine().config().seed,
-                    ..IterativeCleaningConfig::new(target.clone(), *task)
-                };
-                let report = run_iterative_cleaning(c.table()?, c.rules()?, &cfg, None)?;
-                let t = c.table()?;
-                let (rows, cells) = (t.n_rows(), t.n_rows() * t.n_cols());
-                let reports = drain_reports(&c, cursor);
-                (report, rows, cells, reports)
+                (c.engine().clone(), c.table()?.clone(), c.rules()?.clone())
             };
-            let synthetic = StageReport {
-                stage: "iterative_clean".into(),
-                detail: target.clone(),
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                rows_processed: rows,
-                cells_processed: cells,
-                flags_produced: report.iterations_run,
+            let cfg = IterativeCleaningConfig {
+                iterations: *iterations,
+                // Cheap candidate tools: iterative search multiplies
+                // their cost by the iteration budget.
+                detectors: vec!["sd".into(), "iqr".into(), "mv_detector".into()],
+                repairers: vec!["standard_imputer".into(), "ml_imputer".into()],
+                seed: engine.config().seed,
+                ..IterativeCleaningConfig::new(target.clone(), *task)
             };
-            reports.push(synthetic);
-            job.record_step(reports, |o| o.iterative = Some(report));
+            let (result, report) = engine.timed(
+                StageKind::IterativeClean,
+                target,
+                table_dims(&table),
+                || run_iterative_cleaning(&table, &rules, &cfg, None),
+                |r| r.as_ref().map_or(0, |r| r.iterations_run),
+            );
+            let result = result?;
+            job.record_step(vec![report], |o| o.iterative = Some(result));
         }
         JobStep::Sleep { ms } => {
-            let start = Instant::now();
-            let deadline = start + Duration::from_millis(*ms);
-            while Instant::now() < deadline && !job.cancel_requested() {
-                std::thread::sleep(Duration::from_millis(5.min(*ms).max(1)));
-            }
-            let synthetic = StageReport {
-                stage: "sleep".into(),
-                detail: format!("{ms}ms"),
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                rows_processed: 0,
-                cells_processed: 0,
-                flags_produced: 0,
-            };
-            job.record_step(vec![synthetic], |_| {});
+            let engine = ctrl.lock().engine().clone();
+            let ((), report) = engine.timed(
+                StageKind::Sleep,
+                &format!("{ms}ms"),
+                (0, 0),
+                || {
+                    let deadline = Instant::now() + Duration::from_millis(*ms);
+                    while Instant::now() < deadline && !job.cancel_requested() {
+                        std::thread::sleep(Duration::from_millis(5.min(*ms).max(1)));
+                    }
+                },
+                |_| 0,
+            );
+            job.record_step(vec![report], |_| {});
         }
     }
     Ok(())
@@ -791,13 +789,6 @@ fn publish_alert(
     if let Some(m) = &inner.metrics {
         m.alerts_emitted.inc();
     }
-}
-
-fn drain_reports(ctrl: &DashboardController, cursor: &mut usize) -> Vec<StageReport> {
-    let all = ctrl.stage_reports().unwrap_or(&[]);
-    let new = all[*cursor..].to_vec();
-    *cursor = all.len();
-    new
 }
 
 /// Terminal bookkeeping shared by workers and queue-side cancellation:
@@ -1277,6 +1268,44 @@ mod tests {
         assert_eq!(svc.health_report().verdict, Verdict::Pass);
         assert_eq!(metrics.gauge("health_verdict").get(), 0);
         assert!(svc.submit(sid, JobSpec::profile()).is_ok());
+    }
+
+    #[test]
+    fn iterative_clean_releases_the_session_lock_while_searching() {
+        let svc = service(1, 4);
+        let sid = svc.create_session_preloaded("nasa").unwrap();
+        let jid = svc
+            .submit(
+                sid,
+                JobSpec::new(vec![JobStep::IterativeClean {
+                    target: datalens_datasets::nasa::TARGET.into(),
+                    task: datalens_datasets::Task::Regression,
+                    iterations: 40,
+                }]),
+            )
+            .unwrap();
+        while svc.status(jid).unwrap().state == JobState::Queued {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Let the worker take its snapshot and enter the search.
+        std::thread::sleep(Duration::from_millis(100));
+        let rows = svc
+            .with_session(sid, |c| c.table().map(Table::n_rows))
+            .unwrap()
+            .unwrap();
+        assert!(rows > 0);
+        assert_eq!(
+            svc.status(jid).unwrap().state,
+            JobState::Running,
+            "with_session waited for the whole search"
+        );
+        let status = svc.wait(jid, Some(Duration::from_secs(300))).unwrap();
+        assert_eq!(status.state, JobState::Done, "err: {:?}", status.error);
+        let report = &status.reports[0];
+        assert_eq!(
+            (report.stage.as_str(), report.flags_produced),
+            ("iterative_clean", 40)
+        );
     }
 
     #[test]

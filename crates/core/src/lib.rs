@@ -24,6 +24,12 @@
 //!    multi-session job service ([`jobs`]): queued, cancellable pipeline
 //!    runs behind the REST bus.
 //!
+//! Every pipeline stage runs through one [`Engine`] method, and one
+//! helper inside the engine times it: the helper builds the stage's
+//! [`StageReport`] and observes the same wall time as
+//! `engine_stage_ms{stage=…}`, so the dashboard panel, job progress
+//! events and metrics never disagree.
+//!
 //! ```
 //! use datalens::controller::{DashboardConfig, DashboardController, RuleMiner};
 //!
@@ -50,7 +56,7 @@ pub mod user;
 
 pub use controller::{DashboardConfig, DashboardController, RahaOutcome, RuleMiner};
 pub use datasheet::DataSheet;
-pub use engine::{Engine, EngineConfig, MinerSpec, Stage, StageKind, StageReport};
+pub use engine::{Engine, EngineConfig, MinerSpec, StageKind, StageReport};
 pub use error::DataLensError;
 pub use ingest::{DataSource, InMemorySqlSource, SqlSource};
 pub use iterative::{

@@ -2,6 +2,7 @@
 //! driven as a real subprocess the way a user would.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn datalens(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_datalens"))
@@ -10,8 +11,15 @@ fn datalens(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+/// A fresh demo CSV per call: tests run in parallel, and one shared path
+/// let a test read the file while another was rewriting it.
 fn demo_csv() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("datalens_cli_{}.csv", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "datalens_cli_{}_{}.csv",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(
         &path,
         "zip,city,pop\n1,ulm,120\n1,ulm,120\n2,bonn,99999\n2,bonn,330\n1,oops,\n",

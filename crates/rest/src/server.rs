@@ -27,7 +27,7 @@
 //! expose them at `GET /metrics`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -717,6 +717,14 @@ fn serve_connection(
             config.keep_alive_timeout
         };
         let _ = stream.set_read_timeout(timeout);
+        // Wait for the request's first byte before starting the clock:
+        // `http_request_ms` measures the request, not keep-alive idle
+        // time before it.
+        match reader.fill_buf() {
+            Ok([]) => break, // clean close between requests
+            Ok(_) => {}
+            Err(_) => break, // idle timeout / reset
+        }
         let started = Instant::now();
         let (mut response, keep_alive) =
             match Request::read_from_buffered(&mut reader, config.max_body) {
@@ -1218,5 +1226,28 @@ mod tests {
         let text = String::from_utf8(r.body_bytes().to_vec()).unwrap();
         assert!(text.contains("# TYPE http_requests_total counter"));
         assert!(text.contains("http_request_ms_bucket{route=\"/ping\",le=\"+Inf\"}"));
+    }
+
+    #[test]
+    fn request_timer_excludes_keep_alive_idle_time() {
+        // Regression: the clock used to start before the blocking read
+        // for the next request, so idle time between two requests on a
+        // keep-alive connection was billed to the second one.
+        let registry = Arc::new(Registry::new());
+        let server = Server::start_with(
+            demo_router(),
+            ServerConfig {
+                metrics: Some(Arc::clone(&registry)),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut conn = Client::new(server.addr()).connect().unwrap();
+        conn.get("/ping").unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        conn.get("/ping").unwrap();
+        let h = registry.latency_histogram(&labeled("http_request_ms", &[("route", "/ping")]));
+        assert_eq!(h.count(), 2);
+        assert!(h.sum() < 100.0, "idle time counted: {} ms", h.sum());
     }
 }
