@@ -22,7 +22,8 @@ use std::str::FromStr;
 use serde::{Deserialize, Error as SerdeError, JsonValue, Serialize};
 
 use datalens_table::chunk::RawRef;
-use datalens_table::{Chunk, Column, DataType, Value};
+use datalens_table::value::write_float;
+use datalens_table::{Chunk, Column, DataType};
 
 pub use datalens_sketch::SketchParams;
 use datalens_sketch::{column_seed, ColumnSketch};
@@ -128,9 +129,37 @@ pub(crate) fn sketch_chunk(chunk: &Chunk, params: SketchParams, seed: u64) -> Co
                 sketch.push_numeric(if b { "true" } else { "false" }, f64::from(b));
             }
             RawRef::Float(v) => {
-                // Render through Value so floats match the exact
-                // profiler's formatting ("1.0", not "1").
-                sketch.push_numeric(&Value::Float(v).render(), v);
+                // Value's float formatting ("1.0", not "1"), as the exact
+                // profiler renders it, into the reused buffer.
+                buf.clear();
+                write_float(&mut buf, v);
+                sketch.push_numeric(&buf, v);
+            }
+        }
+    }
+    sketch
+}
+
+/// The per-row-allocating [`sketch_chunk`] it replaced, kept as the
+/// differential-test reference.
+#[cfg(test)]
+fn sketch_chunk_reference(chunk: &Chunk, params: SketchParams, seed: u64) -> ColumnSketch {
+    let mut sketch = ColumnSketch::new(params, seed);
+    let mut buf = String::new();
+    for row in 0..chunk.len() {
+        match chunk.raw_at(row) {
+            RawRef::Null => sketch.push_null(),
+            RawRef::Str(s) => sketch.push_rendered(s),
+            RawRef::Int(v) => {
+                buf.clear();
+                let _ = write!(buf, "{v}");
+                sketch.push_numeric(&buf, v as f64);
+            }
+            RawRef::Bool(b) => {
+                sketch.push_numeric(if b { "true" } else { "false" }, f64::from(b));
+            }
+            RawRef::Float(v) => {
+                sketch.push_numeric(&datalens_table::Value::Float(v).render(), v);
             }
         }
     }
@@ -350,7 +379,7 @@ fn histogram_from_sketch(sketch: &ColumnSketch, bins: usize) -> Option<Histogram
 mod tests {
     use super::*;
     use crate::report::{BuildOptions, ProfileReport};
-    use datalens_table::Table;
+    use datalens_table::{Table, Value};
 
     fn table() -> Table {
         let n = 600;
@@ -515,6 +544,67 @@ mod tests {
             3,
             "three chunks reused"
         );
+    }
+
+    const MAX_ROWS: usize = if cfg!(debug_assertions) { 60 } else { 3_000 };
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 48 } else { 256 }
+        ))]
+        /// Every chunk of a rechunked, edited column sketches to exactly
+        /// the bundle (and serialized bytes) the reference kernel builds.
+        /// Values cover nulls, NaN, ±Inf, ±0.0, whole and huge floats, and
+        /// enough distinct values to evict top-k counters.
+        #[test]
+        fn sketch_chunk_matches_the_reference_kernel(
+            seed in proptest::prelude::any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk_rows in 1usize..200,
+            dtype_pick in 0usize..4,
+            distinct in 1u64..400,
+            edits in 0usize..6,
+        ) {
+            let dtype = [DataType::Int, DataType::Float, DataType::Bool, DataType::Str][dtype_pick];
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e15, 2.0];
+            let mut cell = || {
+                let u = next();
+                if u % 11 == 0 {
+                    return Value::Null;
+                }
+                let k = (u >> 4) % distinct;
+                match dtype {
+                    DataType::Int => Value::Int(k as i64 - 50),
+                    DataType::Float if u % 5 == 0 => Value::Float(specials[(k % 7) as usize]),
+                    DataType::Float => Value::Float(k as f64 * 0.37 - 20.0),
+                    DataType::Bool => Value::Bool(k % 2 == 0),
+                    DataType::Str => Value::Str(format!("s{k}")),
+                }
+            };
+            let values: Vec<Value> = (0..rows).map(|_| cell()).collect();
+            let mut col = Column::from_values("c", dtype, values).rechunk(chunk_rows);
+            for e in 0..edits.min(rows) {
+                col.set((e * 7919) % rows, cell());
+            }
+            let params = SketchParams::default();
+            let seed = column_seed(col.name());
+            for chunk in col.chunks() {
+                let got = sketch_chunk(chunk, params, seed);
+                let want = sketch_chunk_reference(chunk, params, seed);
+                proptest::prop_assert_eq!(
+                    serde_json::to_string(&got).unwrap(),
+                    serde_json::to_string(&want).unwrap()
+                );
+                proptest::prop_assert_eq!(got.resident_bytes(), want.resident_bytes());
+            }
+        }
     }
 
     #[test]

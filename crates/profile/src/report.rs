@@ -6,6 +6,9 @@
 //! in input-index order, so the report is bit-identical at any thread
 //! count and whether the cache was cold or warm.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use datalens_table::{Column, DataType, Table};
@@ -13,7 +16,7 @@ use datalens_table::{Column, DataType, Table};
 use crate::alerts::{scan_with, Alert, AlertConfig};
 use crate::approx::{approx_column_profile, ApproxColumnProfile, ProfileMode, SketchParams};
 use crate::cache::ProfileCache;
-use crate::correlation::{cramers_v, pearson, spearman, CorrelationKind, CorrelationMatrix};
+use crate::correlation::{coefficient, prepare, CorrelationKind, CorrelationMatrix, Prepared};
 use crate::histogram::Histogram;
 use crate::stats::{categorical_stats, numeric_stats_chunked, CategoricalStats, NumericStats};
 
@@ -305,141 +308,117 @@ pub(crate) fn compute_column_profile(
     }
 }
 
-/// Run `f(0)…f(n-1)` and collect the results in index order, fanning the
-/// indices out across up to `threads` scoped threads in contiguous
-/// chunks — the same pattern as the engine's detect fan-out, so assembly
-/// order never depends on scheduling.
+/// Run `f(0)…f(n-1)` and collect the results in index order across up
+/// to `threads` scoped threads. Each thread claims the next unclaimed
+/// index from a shared counter, so uneven work (a few heavy columns)
+/// spreads over all threads; each result still lands in its own slot,
+/// so assembly order never depends on scheduling.
 fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // Relaxed suffices: the counter only hands out indices, and the
+    // scope's join publishes every thread's results.
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n, || None);
-    if threads <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (c, out) in slots.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    for (k, slot) in out.iter_mut().enumerate() {
-                        *slot = Some(f(c * chunk + k));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, f(i)));
                     }
-                });
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, v) in done {
+                        slots[i] = Some(v);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-        });
-    }
+        }
+    });
     slots
         .into_iter()
-        // lint:allow(panic-in-lib): scope() joins every spawned thread
-        // before returning and the chunked iteration covers each slot
-        // exactly once, so the slot is always filled.
+        // lint:allow(panic-in-lib): every index below `n` is claimed by
+        // exactly one thread and every thread is joined above, so each
+        // slot is filled.
         .map(|s| s.expect("every fan-out slot filled"))
         .collect()
 }
 
 /// Compute the Pearson, Spearman, and Cramér's V matrices, flattening
 /// every upper-triangle `(kind, i, j)` pair into one task list that the
-/// fan-out processes (and the cache memoises) independently.
+/// fan-out processes (and the cache memoises) independently. A column is
+/// prepared for a kind at most once per build, by the first pair that
+/// misses the cache and reads it; fully cached builds prepare nothing.
 fn correlation_matrices(
     table: &Table,
     opts: &BuildOptions,
 ) -> (CorrelationMatrix, CorrelationMatrix, CorrelationMatrix) {
-    let num_cols: Vec<&Column> = table
-        .columns()
-        .iter()
-        .filter(|c| c.dtype().is_numeric())
-        .collect();
-    let str_cols: Vec<&Column> = table
-        .columns()
-        .iter()
-        .filter(|c| c.dtype() == DataType::Str)
-        .collect();
-    let num_series: Vec<Vec<Option<f64>>> = num_cols
-        .iter()
-        .map(|c| c.iter().map(|v| v.as_f64()).collect())
-        .collect();
-    let str_series: Vec<Vec<Option<String>>> = str_cols
-        .iter()
-        .map(|c| c.iter().map(|v| v.as_str().map(str::to_string)).collect())
-        .collect();
+    const KINDS: [CorrelationKind; 3] = [
+        CorrelationKind::Pearson,
+        CorrelationKind::Spearman,
+        CorrelationKind::CramersV,
+    ];
+    let cols: [Vec<&Column>; 3] = KINDS.map(|k| k.columns(table));
     // Content fingerprints key the pair cache; the pointer fast path
     // makes this O(1) for columns the cache has already seen.
-    let (num_fps, str_fps): (Vec<u64>, Vec<u64>) = match opts.cache {
-        Some(cache) => (
-            num_cols.iter().map(|c| cache.fingerprint_of(c)).collect(),
-            str_cols.iter().map(|c| cache.fingerprint_of(c)).collect(),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
+    let fps: [Vec<u64>; 3] = cols.each_ref().map(|cs| match opts.cache {
+        Some(cache) => cs.iter().map(|c| cache.fingerprint_of(c)).collect(),
+        None => Vec::new(),
+    });
+    let prepared: [Vec<OnceLock<Prepared>>; 3] = cols
+        .each_ref()
+        .map(|cs| cs.iter().map(|_| OnceLock::new()).collect());
 
-    let mut tasks: Vec<(CorrelationKind, usize, usize)> = Vec::new();
-    for kind in [CorrelationKind::Pearson, CorrelationKind::Spearman] {
-        for i in 0..num_cols.len() {
-            for j in (i + 1)..num_cols.len() {
-                tasks.push((kind, i, j));
+    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
+    for (k, cs) in cols.iter().enumerate() {
+        for i in 0..cs.len() {
+            for j in (i + 1)..cs.len() {
+                tasks.push((k, i, j));
             }
-        }
-    }
-    for i in 0..str_cols.len() {
-        for j in (i + 1)..str_cols.len() {
-            tasks.push((CorrelationKind::CramersV, i, j));
         }
     }
 
     let results: Vec<f64> = map_indexed(tasks.len(), opts.threads, |t| {
-        let (kind, i, j) = tasks[t];
-        let fps = match kind {
-            CorrelationKind::CramersV => &str_fps,
-            _ => &num_fps,
-        };
+        let (k, i, j) = tasks[t];
         if let Some(cache) = opts.cache {
-            if let Some(v) = cache.get_pair(kind, fps[i], fps[j]) {
+            if let Some(v) = cache.get_pair(KINDS[k], fps[k][i], fps[k][j]) {
                 return v;
             }
         }
-        let v = match kind {
-            CorrelationKind::Pearson => pearson(&num_series[i], &num_series[j]),
-            CorrelationKind::Spearman => spearman(&num_series[i], &num_series[j]),
-            CorrelationKind::CramersV => cramers_v(&str_series[i], &str_series[j]),
-        }
-        .unwrap_or(f64::NAN);
+        let side = |c: usize| prepared[k][c].get_or_init(|| prepare(cols[k][c], KINDS[k]));
+        let v = coefficient(side(i), side(j));
         if let Some(cache) = opts.cache {
-            cache.put_pair(kind, fps[i], fps[j], v);
+            cache.put_pair(KINDS[k], fps[k][i], fps[k][j], v);
         }
         v
     });
 
-    let num_names: Vec<String> = num_cols.iter().map(|c| c.name().to_string()).collect();
-    let str_names: Vec<String> = str_cols.iter().map(|c| c.name().to_string()).collect();
-    let mut pearson_m = unit_diagonal_matrix(num_names.clone());
-    let mut spearman_m = unit_diagonal_matrix(num_names);
-    let mut cramers_m = unit_diagonal_matrix(str_names);
-    for (&(kind, i, j), &v) in tasks.iter().zip(&results) {
-        let m = match kind {
-            CorrelationKind::Pearson => &mut pearson_m,
-            CorrelationKind::Spearman => &mut spearman_m,
-            CorrelationKind::CramersV => &mut cramers_m,
-        };
-        m.values[i][j] = v;
-        m.values[j][i] = v;
+    let mut matrices = cols.each_ref().map(|cs| {
+        CorrelationMatrix::unit_diagonal(cs.iter().map(|c| c.name().to_string()).collect())
+    });
+    for (&(k, i, j), &v) in tasks.iter().zip(&results) {
+        matrices[k].set_pair(i, j, v);
     }
+    let [pearson_m, spearman_m, cramers_m] = matrices;
     (pearson_m, spearman_m, cramers_m)
-}
-
-/// An all-NaN matrix over `columns` with ones on the diagonal.
-fn unit_diagonal_matrix(columns: Vec<String>) -> CorrelationMatrix {
-    let n = columns.len();
-    let mut values = vec![vec![f64::NAN; n]; n];
-    for (i, row) in values.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    CorrelationMatrix { columns, values }
 }
 
 #[cfg(test)]

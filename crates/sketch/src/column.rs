@@ -8,7 +8,7 @@ use crate::hll::HyperLogLog;
 use crate::kll::KllSketch;
 use crate::moments::Moments;
 use crate::reservoir::ReservoirSample;
-use crate::topk::SpaceSaving;
+use crate::topk::{self, SpaceSaving};
 
 /// Tunable sketch sizes. The defaults bound each column sketch to a few
 /// KiB while keeping the documented error bounds:
@@ -207,7 +207,11 @@ impl ColumnSketch {
             + self.reservoir.resident_bytes()
             + self.kll.resident_bytes()
             + std::mem::size_of::<Moments>()
+            // The inline top-k sketch is charged its fixed header, not
+            // the size of its in-memory indexes.
             + std::mem::size_of::<ColumnSketch>()
+            - std::mem::size_of::<SpaceSaving>()
+            + topk::HEADER_BYTES
     }
 }
 

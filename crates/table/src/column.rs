@@ -188,6 +188,12 @@ impl Column {
         self.chunks[chunk].value(off)
     }
 
+    /// Borrowed raw view of row `row`; out-of-range reads panic.
+    pub(crate) fn raw_at(&self, row: usize) -> RawRef<'_> {
+        let (chunk, off) = self.locate(row);
+        self.chunks[chunk].raw_at(off)
+    }
+
     /// Set row `row` to `value`, coercing to the column type; lossy
     /// coercions become null. Copies only the touched chunk when shared.
     pub fn set(&mut self, row: usize, value: Value) {

@@ -4,10 +4,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::chunk::{ChunkValues, RawRef};
 use crate::column::Column;
 use crate::error::TableError;
 use crate::schema::{Field, Schema};
-use crate::value::Value;
+use crate::value::{canonical_float_bits, Value};
 
 /// Address of a single cell: `(row, column index)`.
 ///
@@ -292,8 +293,101 @@ impl Table {
         self.columns.iter().map(Column::null_count).sum()
     }
 
-    /// Indices of rows that are exact duplicates of an earlier row.
+    /// Indices of rows that are exact duplicates of an earlier row, in
+    /// ascending order.
+    ///
+    /// Each row is hashed column by column straight from the chunk
+    /// buffers (a string chunk hashes each dictionary entry once, then
+    /// reads codes), so no row is materialised. Rows are grouped by
+    /// hash, and a hash match counts only once the cells compare equal
+    /// under [`Value`]'s equality: `NaN == NaN`, `-0.0 == 0.0`,
+    /// `Null == Null`. Colliding rows that differ are kept as further
+    /// representatives of their hash.
     pub fn duplicate_rows(&self) -> Vec<usize> {
+        use std::collections::hash_map::Entry;
+        use std::collections::HashMap;
+        let hashes = self.row_hashes();
+        let mut first: HashMap<u64, usize> = HashMap::with_capacity(self.rows);
+        let mut collided: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut dups = Vec::new();
+        for (r, &h) in hashes.iter().enumerate() {
+            match first.entry(h) {
+                Entry::Vacant(e) => {
+                    e.insert(r);
+                }
+                Entry::Occupied(e) => {
+                    if self.rows_equal(*e.get(), r) {
+                        dups.push(r);
+                        continue;
+                    }
+                    let others = collided.entry(h).or_default();
+                    if others.iter().any(|&o| self.rows_equal(o, r)) {
+                        dups.push(r);
+                    } else {
+                        others.push(r);
+                    }
+                }
+            }
+        }
+        dups
+    }
+
+    /// One hash per row, folded column by column from the typed chunk
+    /// buffers. Equal rows (under [`Value`]'s equality) hash alike.
+    fn row_hashes(&self) -> Vec<u64> {
+        let mut hashes = vec![0u64; self.rows];
+        for col in &self.columns {
+            let mut base = 0;
+            for chunk in col.chunks() {
+                let out = &mut hashes[base..base + chunk.len()];
+                base += chunk.len();
+                let cell = |i: usize, h: u64| if chunk.is_valid(i) { h } else { NULL_CELL };
+                match chunk.values() {
+                    ChunkValues::Int(v) => {
+                        for (i, (h, x)) in out.iter_mut().zip(v).enumerate() {
+                            *h = fold_cell(*h, cell(i, *x as u64));
+                        }
+                    }
+                    ChunkValues::Float(v) => {
+                        for (i, (h, x)) in out.iter_mut().zip(v).enumerate() {
+                            *h = fold_cell(*h, cell(i, canonical_float_bits(*x)));
+                        }
+                    }
+                    ChunkValues::Bool(v) => {
+                        for (i, (h, x)) in out.iter_mut().zip(v).enumerate() {
+                            *h = fold_cell(*h, cell(i, u64::from(*x)));
+                        }
+                    }
+                    ChunkValues::Str { dict, codes } => {
+                        let entry_hashes: Vec<u64> = dict.iter().map(|s| hash_str(s)).collect();
+                        for (i, (h, &c)) in out.iter_mut().zip(codes).enumerate() {
+                            // Null slots hold code 0, which an empty
+                            // dictionary does not have: test validity first.
+                            let x = if chunk.is_valid(i) {
+                                entry_hashes[c as usize]
+                            } else {
+                                NULL_CELL
+                            };
+                            *h = fold_cell(*h, x);
+                        }
+                    }
+                }
+            }
+        }
+        hashes
+    }
+
+    /// Whether rows `a` and `b` hold equal cells in every column.
+    fn rows_equal(&self, a: usize, b: usize) -> bool {
+        self.columns
+            .iter()
+            .all(|c| same_cell(c.raw_at(a), c.raw_at(b)))
+    }
+
+    /// The map-of-owned-rows kernel [`Table::duplicate_rows`] replaced,
+    /// kept as the differential-test reference.
+    #[cfg(test)]
+    fn duplicate_rows_reference(&self) -> Vec<usize> {
         use std::collections::HashMap;
         let mut seen: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut dups = Vec::new();
@@ -347,6 +441,32 @@ impl Table {
             }
         }
         Ok(out)
+    }
+}
+
+/// Hash of a null cell in [`Table::row_hashes`]; a value hashing alike
+/// is told apart by the cell comparison.
+const NULL_CELL: u64 = 0x6e75_6c6c_6e75_6c6c;
+
+/// Fold one cell's hash into a running row hash.
+#[inline]
+fn fold_cell(row: u64, cell: u64) -> u64 {
+    (row.rotate_left(26) ^ cell).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+fn hash_str(s: &str) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
+}
+
+/// Cell equality with [`Value`]'s semantics (`NaN == NaN`, `-0.0 ==
+/// 0.0`) for two cells of one column.
+fn same_cell(a: RawRef<'_>, b: RawRef<'_>) -> bool {
+    match (a, b) {
+        (RawRef::Float(x), RawRef::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+        _ => a == b,
     }
 }
 
@@ -502,6 +622,105 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(t.duplicate_rows(), vec![3]);
+    }
+
+    #[test]
+    fn duplicate_rows_follow_value_equality() {
+        let t = Table::new(
+            "z",
+            vec![
+                Column::from_f64(
+                    "f",
+                    [Some(0.0), Some(-0.0), Some(f64::NAN), Some(-f64::NAN), None],
+                ),
+                Column::from_str_vals("s", [Some("a"), Some("a"), None, None, None]),
+            ],
+        )
+        .unwrap();
+        assert_eq!(t.duplicate_rows(), vec![1, 3]);
+        assert_eq!(t.duplicate_rows(), t.duplicate_rows_reference());
+    }
+
+    /// Rows of the differential test: debug builds stay quick, release
+    /// builds run larger tables.
+    const MAX_ROWS: usize = if cfg!(debug_assertions) { 40 } else { 400 };
+
+    /// A table whose cells come from small pools, so duplicate rows are
+    /// common. The pools cover nulls, NaN, ±Inf and ±0.0. Each column is
+    /// split into chunks of its own size, then `edits` random cells are
+    /// overwritten through `set`, which leaves stale string dictionary
+    /// entries behind.
+    fn pooled_table(seed: u64, rows: usize, cols: usize, chunk_rows: usize, edits: usize) -> Table {
+        let mut state = seed;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let dtypes = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Str,
+        ];
+        let cell = |dtype: DataType, next: &mut dyn FnMut(usize) -> usize| {
+            if next(5) == 0 {
+                return Value::Null;
+            }
+            match dtype {
+                DataType::Int => Value::Int([0, 1, -1, 7, i64::MIN][next(5)]),
+                DataType::Float => Value::Float(
+                    [
+                        0.0,
+                        -0.0,
+                        1.5,
+                        f64::NAN,
+                        -f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                    ][next(7)],
+                ),
+                DataType::Bool => Value::Bool(next(2) == 0),
+                DataType::Str => Value::Str(["a", "b", "", "ab"][next(4)].to_string()),
+            }
+        };
+        let col_types: Vec<DataType> = (0..cols).map(|_| dtypes[next(4)]).collect();
+        let columns = col_types
+            .iter()
+            .enumerate()
+            .map(|(c, &dtype)| {
+                let values: Vec<Value> = (0..rows).map(|_| cell(dtype, &mut next)).collect();
+                Column::from_values(format!("c{c}"), dtype, values).rechunk(chunk_rows + c)
+            })
+            .collect();
+        let mut t = Table::new("pooled", columns).unwrap();
+        if rows > 0 {
+            for _ in 0..edits {
+                let (r, c) = (next(rows), next(cols));
+                let v = cell(col_types[c], &mut next);
+                t.set(CellRef::new(r, c), v).unwrap();
+            }
+        }
+        t
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 512 }
+        ))]
+        #[test]
+        fn duplicate_rows_match_the_reference_kernel(
+            seed in proptest::prelude::any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            cols in 1usize..5,
+            chunk_rows in 1usize..9,
+            edits in 0usize..8,
+        ) {
+            let t = pooled_table(seed, rows, cols, chunk_rows, edits);
+            proptest::prop_assert_eq!(t.duplicate_rows(), t.duplicate_rows_reference());
+        }
     }
 
     #[test]

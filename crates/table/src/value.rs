@@ -257,12 +257,11 @@ impl std::hash::Hash for Value {
             // compare equal.
             Value::Int(i) => {
                 1u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+                canonical_float_bits(*i as f64).hash(state);
             }
             Value::Float(f) => {
                 1u8.hash(state);
-                let canonical = if f.is_nan() { f64::NAN } else { *f };
-                canonical.to_bits().hash(state);
+                canonical_float_bits(*f).hash(state);
             }
             Value::Bool(b) => {
                 2u8.hash(state);
@@ -273,6 +272,18 @@ impl std::hash::Hash for Value {
                 s.hash(state);
             }
         }
+    }
+}
+
+/// Bits of `f` with every NaN mapped to one NaN and `-0.0` to `0.0`, so
+/// values that compare equal under [`Value`]'s `PartialEq` hash alike.
+pub(crate) fn canonical_float_bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else if f == 0.0 {
+        0
+    } else {
+        f.to_bits()
     }
 }
 
@@ -351,15 +362,24 @@ fn parse_float(s: &str) -> Option<f64> {
 }
 
 fn render_float(f: f64) -> String {
-    if f.is_nan() {
-        return "NaN".to_string();
-    }
-    if f == f.trunc() && f.is_finite() && f.abs() < 1e15 {
+    let mut out = String::new();
+    write_float(&mut out, f);
+    out
+}
+
+/// Append `f` rendered exactly as [`Value::render`] renders a float, so
+/// hot loops can reuse one buffer instead of allocating per value.
+pub fn write_float(out: &mut String, f: f64) {
+    use std::fmt::Write as _;
+    // Writing into a String cannot fail.
+    let _ = if f.is_nan() {
+        out.write_str("NaN")
+    } else if f == f.trunc() && f.is_finite() && f.abs() < 1e15 {
         // Keep a trailing ".0" so the value re-parses as Float, not Int.
-        format!("{f:.1}")
+        write!(out, "{f:.1}")
     } else {
-        format!("{f}")
-    }
+        write!(out, "{f}")
+    };
 }
 
 #[cfg(test)]
@@ -470,6 +490,37 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(Value::Int(2));
         assert!(set.contains(&Value::Float(2.0)));
+        // ±0.0 compare equal (also against Int(0)), so they must hash
+        // alike; so must NaNs with different payloads.
+        for (a, b) in [
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Float(f64::NAN), Value::Float(-f64::NAN)),
+        ] {
+            assert_eq!(a, b);
+            let set: HashSet<Value> = [a.clone()].into_iter().collect();
+            assert!(set.contains(&b), "{a:?} and {b:?} hash differently");
+        }
+        let col = crate::Column::from_f64("z", [Some(0.0), Some(-0.0)]);
+        assert_eq!(col.value_counts(), vec![(Value::Float(0.0), 2)]);
+    }
+
+    #[test]
+    fn write_float_appends_the_float_rendering() {
+        for (f, want) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (-2.5, "-2.5"),
+            (1e15, "1000000000000000"),
+            (1e-7, "0.0000001"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+        ] {
+            let mut buf = String::from("x");
+            write_float(&mut buf, f);
+            assert_eq!(buf, format!("x{want}"));
+            assert_eq!(Value::Float(f).render(), want);
+        }
     }
 
     #[test]

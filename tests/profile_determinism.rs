@@ -264,6 +264,107 @@ fn approx_warm_cache_rebuild_is_bit_identical() {
     );
 }
 
+/// A multi-chunk table that drives every rewritten profile kernel: a
+/// high-cardinality id and float column (top-k evictions), floats with
+/// NaN, ±Inf and ±0.0, ties, a categorical column edited through `set`
+/// (stale dictionary entries), and repeated rows (duplicates).
+fn multi_chunk_fixture() -> Table {
+    // Rows 1 200.. repeat rows 0.. (duplicates).
+    let rows: Vec<usize> = (0..1_500).map(|i| i % 1_200).collect();
+    let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let id: Vec<Option<i64>> = rows.iter().map(|&r| Some(r as i64)).collect();
+    let wave: Vec<Option<f64>> = rows
+        .iter()
+        .map(|&r| match r % 40 {
+            0 => None,
+            1..=5 => Some(specials[r % 5]),
+            _ => Some((r as f64 * 0.731).sin() * 90.0),
+        })
+        .collect();
+    let steps: Vec<Option<i64>> = rows
+        .iter()
+        .map(|&r| {
+            if r % 23 == 0 {
+                None
+            } else {
+                Some(r as i64 / 7)
+            }
+        })
+        .collect();
+    let cats = ["red", "green", "blue", "teal", "plum"];
+    let colors: Vec<Option<&str>> = rows
+        .iter()
+        .map(|&r| if r % 19 == 0 { None } else { Some(cats[r % 5]) })
+        .collect();
+    let sizes: Vec<Option<&str>> = rows.iter().map(|&r| Some(["s", "m", "l"][r % 3])).collect();
+    let mut table = Table::new(
+        "multi-chunk",
+        vec![
+            Column::from_i64("id", id).rechunk(256),
+            Column::from_f64("wave", wave).rechunk(300),
+            Column::from_i64("steps", steps).rechunk(97),
+            Column::from_str_vals("color", colors).rechunk(128),
+            Column::from_str_vals("size", sizes).rechunk(1_000),
+        ],
+    )
+    .unwrap();
+    for row in [3, 400, 401, 1_333] {
+        table
+            .set(CellRef::new(row, 3), Value::Str(format!("tmp{row}")))
+            .unwrap();
+        table
+            .set(CellRef::new(row, 3), Value::Str("red".into()))
+            .unwrap();
+    }
+    table
+}
+
+/// Exact and approx reports on a multi-chunk table serialise to the
+/// bytes of a sequential uncached build at 1, 2 and 8 threads, from a
+/// cold cache and again warm, and each cold build misses the same
+/// entries.
+#[test]
+fn multi_chunk_reports_are_bit_identical_across_threads_cold_and_warm() {
+    let table = multi_chunk_fixture();
+    assert!(table.duplicate_rows().len() > 250);
+    for mode in [ProfileMode::Exact, ProfileMode::Approx] {
+        let config = ProfileConfig {
+            mode,
+            ..ProfileConfig::default()
+        };
+        let baseline = serialized(&ProfileReport::build(&table, &config));
+        let mut cold_stats = Vec::new();
+        for threads in [1, 2, 8] {
+            let cache = ProfileCache::new();
+            let opts = BuildOptions {
+                threads,
+                cache: Some(&cache),
+            };
+            let cold = serialized(&ProfileReport::build_with(&table, &config, &opts));
+            assert_eq!(
+                baseline, cold,
+                "{mode} cold build diverged at threads={threads}"
+            );
+            let stats = cache.stats();
+            cold_stats.push((stats.misses(), stats.sketch_merges));
+            let warm = serialized(&ProfileReport::build_with(&table, &config, &opts));
+            assert_eq!(
+                baseline, warm,
+                "{mode} warm build diverged at threads={threads}"
+            );
+            assert_eq!(
+                cache.stats().misses(),
+                stats.misses(),
+                "{mode} warm build at threads={threads} missed the cache"
+            );
+        }
+        assert!(
+            cold_stats.windows(2).all(|w| w[0] == w[1]),
+            "{mode} cold builds missed differently: {cold_stats:?}"
+        );
+    }
+}
+
 #[test]
 fn reprofile_after_repair_recomputes_only_touched_chunk() {
     let n = 240;
