@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use datalens_fd::RuleSet;
-use datalens_table::{CellRef, Table};
+use datalens_table::{CellRef, Column, Table};
 
 /// Output of one detection tool on one table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,6 +49,26 @@ impl Detection {
             }
         }
         counts
+    }
+}
+
+/// Push the cells of column `col_idx` whose non-null string's dictionary
+/// entry is flagged: `hits` yields, for each chunk in turn, one flag per
+/// entry of [`datalens_table::Chunk::dict`].
+pub(crate) fn flag_entries(
+    col: &Column,
+    col_idx: usize,
+    hits: impl IntoIterator<Item = Vec<bool>>,
+    out: &mut Vec<CellRef>,
+) {
+    let mut base = 0;
+    for (chunk, hits) in col.chunks().iter().zip(hits) {
+        out.extend(
+            chunk
+                .rows_with(&hits)
+                .map(|row| CellRef::new(base + row, col_idx)),
+        );
+        base += chunk.len();
     }
 }
 

@@ -8,12 +8,15 @@
 //! FD cohorts, knowledge-base domains. The dashboard surfaces these next
 //! to the detection results.
 
-use datalens_profile::stats::{numeric_stats, quantile_sorted};
-use datalens_table::{CellRef, Table};
+use std::cell::OnceCell;
+use std::collections::HashMap;
+
+use datalens_table::{CellRef, Column, Table, Value};
 
 use crate::consolidate::ConsolidatedDetections;
 use crate::fahes::{syntactic_pattern, FahesConfig};
 use crate::katara::KataraDetector;
+use crate::stat::{IqrDetector, IqrFences, SdDetector, SdStats};
 
 /// One tool's reason for flagging a cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,12 +50,48 @@ impl CellExplanation {
     }
 }
 
+/// The detectors' own per-column numbers, each computed on first use.
+#[derive(Default)]
+struct ColumnEvidence {
+    sd: OnceCell<Option<SdStats>>,
+    iqr: OnceCell<Option<IqrFences>>,
+    katara: OnceCell<Option<&'static str>>,
+}
+
 /// Explain why `cell` was flagged, given the consolidated detections.
 /// Returns `None` when the cell was not flagged at all.
 pub fn explain_cell(
     table: &Table,
     merged: &ConsolidatedDetections,
     cell: CellRef,
+) -> Option<CellExplanation> {
+    explain_with(table, merged, cell, &ColumnEvidence::default())
+}
+
+/// Explain every flagged cell (capped at `limit` for dashboard rendering),
+/// computing each column's detector evidence once.
+pub fn explain_all(
+    table: &Table,
+    merged: &ConsolidatedDetections,
+    limit: usize,
+) -> Vec<CellExplanation> {
+    let mut evidence: HashMap<usize, ColumnEvidence> = HashMap::new();
+    merged
+        .union
+        .iter()
+        .take(limit)
+        .filter_map(|&cell| {
+            let ev = evidence.entry(cell.col).or_default();
+            explain_with(table, merged, cell, ev)
+        })
+        .collect()
+}
+
+fn explain_with(
+    table: &Table,
+    merged: &ConsolidatedDetections,
+    cell: CellRef,
+    evidence: &ColumnEvidence,
 ) -> Option<CellExplanation> {
     let tools = merged.provenance.get(&cell)?;
     let col = table.column(cell.col)?;
@@ -61,7 +100,7 @@ pub fn explain_cell(
         .iter()
         .map(|tool| Reason {
             tool: tool.clone(),
-            message: evidence_for(table, cell, tool),
+            message: evidence_for(col, &value, tool, evidence),
         })
         .collect();
     Some(CellExplanation {
@@ -72,57 +111,32 @@ pub fn explain_cell(
     })
 }
 
-/// Explain every flagged cell (capped at `limit` for dashboard rendering).
-pub fn explain_all(
-    table: &Table,
-    merged: &ConsolidatedDetections,
-    limit: usize,
-) -> Vec<CellExplanation> {
-    merged
-        .union
-        .iter()
-        .take(limit)
-        .filter_map(|&cell| explain_cell(table, merged, cell))
-        .collect()
-}
-
-/// Reconstruct the per-tool evidence text.
-fn evidence_for(table: &Table, cell: CellRef, tool: &str) -> String {
-    let col = match table.column(cell.col) {
-        Some(c) => c,
-        None => return "column out of range".into(),
-    };
-    let value = col.get(cell.row);
+/// The per-tool evidence text for `value`, a cell of `col`.
+fn evidence_for(col: &Column, value: &Value, tool: &str, evidence: &ColumnEvidence) -> String {
     match tool {
-        "sd" => match (numeric_stats(col), value.as_f64()) {
-            (Some(s), Some(v)) if s.std > 0.0 => {
-                let z = (v - s.mean) / s.std;
-                format!(
-                    "value {v} is {z:+.1}σ from the column mean {:.3} (σ = {:.3})",
-                    s.mean, s.std
-                )
+        "sd" => {
+            let stats = evidence
+                .sd
+                .get_or_init(|| SdDetector::default().column_stats(col));
+            match (stats, value.as_f64()) {
+                (Some(SdStats { mean, std }), Some(v)) => {
+                    let z = (v - mean) / std;
+                    format!("value {v} is {z:+.1}σ from the column mean {mean:.3} (σ = {std:.3})")
+                }
+                _ => "flagged as a standard-deviation outlier".into(),
             }
-            _ => "flagged as a standard-deviation outlier".into(),
-        },
-        "iqr" => {
-            let mut vals = col.numeric_values();
-            if vals.is_empty() {
-                return "flagged as an IQR outlier".into();
-            }
-            vals.sort_by(f64::total_cmp);
-            let q1 = quantile_sorted(&vals, 0.25);
-            let q3 = quantile_sorted(&vals, 0.75);
-            let iqr = q3 - q1;
-            format!(
-                "value {} lies outside the Tukey fences [{:.3}, {:.3}] (Q1 {:.3}, Q3 {:.3}, IQR {:.3})",
-                value.render(),
-                q1 - 1.5 * iqr,
-                q3 + 1.5 * iqr,
-                q1,
-                q3,
-                iqr
-            )
         }
+        "iqr" => match evidence
+            .iqr
+            .get_or_init(|| IqrDetector::default().fences(col))
+        {
+            Some(IqrFences { q1, q3, lo, hi }) => format!(
+                "value {} lies outside the Tukey fences [{lo:.3}, {hi:.3}] (Q1 {q1:.3}, Q3 {q3:.3}, IQR {:.3})",
+                value.render(),
+                q3 - q1
+            ),
+            None => "flagged as an IQR outlier".into(),
+        },
         "mv_detector" => {
             if value.is_null() {
                 "cell is null".into()
@@ -161,21 +175,17 @@ fn evidence_for(table: &Table, cell: CellRef, tool: &str) -> String {
              sharing its FD determinant (or violates a denial constraint)",
             value.render()
         ),
-        "katara" => {
-            let det = KataraDetector::default();
-            let values: Vec<String> = col
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect();
-            match det.align_column(&values) {
-                Some(domain) => format!(
-                    "column aligns with knowledge-base domain {:?} but value {:?} is not a member",
-                    domain.name,
-                    value.render()
-                ),
-                None => "value falls outside the column's aligned knowledge-base domain".into(),
-            }
-        }
+        "katara" => match evidence.katara.get_or_init(|| {
+            KataraDetector::default()
+                .aligned_domain(col)
+                .map(|domain| domain.name)
+        }) {
+            Some(domain) => format!(
+                "column aligns with knowledge-base domain {domain:?} but value {:?} is not a member",
+                value.render()
+            ),
+            None => "value falls outside the column's aligned knowledge-base domain".into(),
+        },
         "holoclean" => "weighted combination of constraint violations, outlier statistics, \
                         null signals, and co-occurrence rarity crossed the noise threshold"
             .into(),
@@ -198,8 +208,6 @@ fn evidence_for(table: &Table, cell: CellRef, tool: &str) -> String {
 mod tests {
     use super::*;
     use crate::detector::{Detection, DetectionContext, Detector};
-    use crate::stat::SdDetector;
-    use datalens_table::Column;
 
     fn table_and_merged() -> (Table, ConsolidatedDetections) {
         let mut vals: Vec<Option<f64>> = (0..40).map(|i| Some(10.0 + (i % 4) as f64)).collect();
@@ -259,5 +267,29 @@ mod tests {
         let merged = ConsolidatedDetections::merge(vec![Detection::new("mv_detector", vec![cell])]);
         let exp = explain_cell(&t, &merged, cell).unwrap();
         assert_eq!(exp.reasons[0].message, "cell is null");
+    }
+
+    #[test]
+    fn sd_and_iqr_explanations_quote_the_detectors_numbers() {
+        let mut vals: Vec<Option<f64>> = (0..30).map(|i| Some(10.0 + (i % 3) as f64)).collect();
+        vals.extend([Some(5000.0), Some(f64::INFINITY)]);
+        let t = Table::new("t", vec![Column::from_f64("x", vals)]).unwrap();
+        let ctx = DetectionContext::default();
+        let (sd, iqr) = (SdDetector::default(), IqrDetector::default());
+        let merged = ConsolidatedDetections::merge(vec![sd.detect(&t, &ctx), iqr.detect(&t, &ctx)]);
+        let col = t.column(0).unwrap();
+        let SdStats { mean, std } = sd.column_stats(col).unwrap();
+        let IqrFences { lo, hi, .. } = iqr.fences(col).unwrap();
+        let explanations = explain_all(&t, &merged, 10);
+        assert_eq!(explanations.len(), 2);
+        let message = |exp: &CellExplanation, tool: &str| {
+            let reason = exp.reasons.iter().find(|r| r.tool == tool);
+            reason.expect("both tools flag both cells").message.clone()
+        };
+        for exp in &explanations {
+            assert!(message(exp, "sd").contains(&format!("mean {mean:.3} (σ = {std:.3})")));
+            assert!(message(exp, "iqr").contains(&format!("[{lo:.3}, {hi:.3}]")));
+        }
+        assert!(message(&explanations[1], "sd").starts_with("value inf is +infσ"));
     }
 }

@@ -14,9 +14,9 @@
 
 use std::collections::HashMap;
 
-use datalens_table::{CellRef, DataType, Table, Value};
+use datalens_table::{CellRef, Column, DataType, Table};
 
-use crate::detector::{Detection, DetectionContext, Detector};
+use crate::detector::{flag_entries, Detection, DetectionContext, Detector};
 
 /// Configuration for [`FahesDetector`].
 #[derive(Debug, Clone)]
@@ -65,11 +65,11 @@ impl Detector for FahesDetector {
         for (col_idx, col) in table.columns().iter().enumerate() {
             match col.dtype() {
                 DataType::Int | DataType::Float => {
-                    self.detect_numeric_sentinels(table, col_idx, &mut cells);
+                    self.detect_numeric_sentinels(col, col_idx, &mut cells);
                 }
                 DataType::Str => {
-                    self.detect_placeholders(table, col_idx, &mut cells);
-                    self.detect_syntactic_outliers(table, col_idx, &mut cells);
+                    self.detect_placeholders(col, col_idx, &mut cells);
+                    self.detect_syntactic_outliers(col, col_idx, &mut cells);
                 }
                 DataType::Bool => {}
             }
@@ -83,116 +83,110 @@ impl FahesDetector {
     /// is either a known sentinel or a frequency spike, *and* it sits at
     /// the boundary of the column's distribution (strict min or max, far
     /// from the rest).
-    fn detect_numeric_sentinels(&self, table: &Table, col_idx: usize, out: &mut Vec<CellRef>) {
-        let col = table.column(col_idx).expect("in range");
-        let entries = col.numeric_entries();
-        if entries.len() < 8 {
-            return;
-        }
-        let n = entries.len() as f64;
+    fn detect_numeric_sentinels(&self, col: &Column, col_idx: usize, out: &mut Vec<CellRef>) {
         let mut counts: HashMap<u64, (f64, usize)> = HashMap::new(); // bits -> (value, count)
-        for (_, v) in &entries {
-            counts.entry(v.to_bits()).or_insert((*v, 0)).1 += 1;
+        for (_, v) in col.numeric_rows() {
+            counts.entry(v.to_bits()).or_insert((v, 0)).1 += 1;
         }
-        if counts.len() < 3 {
+        let n: usize = counts.values().map(|&(_, count)| count).sum();
+        if n < 8 || counts.len() < 3 {
             return; // near-constant columns are not sentinel material
         }
 
-        for (_, (value, count)) in counts.iter() {
+        for (&bits, &(value, count)) in counts.iter() {
             let is_known =
-                value.fract() == 0.0 && self.config.numeric_sentinels.contains(&(*value as i64));
+                value.fract() == 0.0 && self.config.numeric_sentinels.contains(&(value as i64));
             // Spikes are only meaningful in quasi-continuous columns; in a
             // low-cardinality column every legitimate level is "frequent".
             let is_spike = counts.len() >= 10
-                && *count as f64 >= self.config.spike_fraction * n
-                && *count >= 3;
+                && count as f64 >= self.config.spike_fraction * n as f64
+                && count >= 3;
             if !is_known && !is_spike {
                 continue;
             }
             // Distribution-boundary check over the remaining values.
-            let rest: Vec<f64> = entries
-                .iter()
-                .map(|(_, v)| *v)
-                .filter(|v| v.to_bits() != value.to_bits())
-                .collect();
-            if rest.is_empty() {
-                continue;
-            }
-            let rest_min = rest.iter().copied().fold(f64::INFINITY, f64::min);
-            let rest_max = rest.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let (rest_min, rest_max) = col
+                .numeric_rows()
+                .filter(|(_, v)| v.to_bits() != bits)
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (_, v)| {
+                    (lo.min(v), hi.max(v))
+                });
             let span = (rest_max - rest_min).max(1e-9);
-            let outside_low = *value < rest_min - 0.05 * span;
-            let outside_high = *value > rest_max + 0.05 * span;
+            let outside_low = value < rest_min - 0.05 * span;
+            let outside_high = value > rest_max + 0.05 * span;
             // `0`/`-1` in a strictly positive column is the classic case.
-            let sign_break = is_known && *value <= 0.0 && rest_min > 0.0;
+            let sign_break = is_known && value <= 0.0 && rest_min > 0.0;
             if outside_low || outside_high || sign_break {
-                for (row, v) in &entries {
-                    if v.to_bits() == value.to_bits() {
-                        out.push(CellRef::new(*row, col_idx));
-                    }
-                }
+                out.extend(
+                    col.numeric_rows()
+                        .filter(|(_, v)| v.to_bits() == bits)
+                        .map(|(row, _)| CellRef::new(row, col_idx)),
+                );
             }
         }
     }
 
     /// Channel 1: placeholder strings in otherwise contentful columns.
-    fn detect_placeholders(&self, table: &Table, col_idx: usize, out: &mut Vec<CellRef>) {
-        let col = table.column(col_idx).expect("in range");
-        for row in 0..table.n_rows() {
-            if let Value::Str(s) = col.get(row) {
-                let norm = s.trim().to_ascii_lowercase();
-                if self.config.placeholders.contains(&norm) {
-                    out.push(CellRef::new(row, col_idx));
-                }
-            }
-        }
+    fn detect_placeholders(&self, col: &Column, col_idx: usize, out: &mut Vec<CellRef>) {
+        let hits = col.chunks().iter().map(|chunk| {
+            chunk
+                .dict()
+                .iter()
+                .map(|s| {
+                    let norm = s.trim().to_ascii_lowercase();
+                    self.config.placeholders.contains(&norm)
+                })
+                .collect()
+        });
+        flag_entries(col, col_idx, hits, out);
     }
 
     /// Channel 3: syntactic outliers — values whose character-class
     /// pattern is not among the patterns that jointly cover
     /// `pattern_coverage` of the column.
-    fn detect_syntactic_outliers(&self, table: &Table, col_idx: usize, out: &mut Vec<CellRef>) {
-        let col = table.column(col_idx).expect("in range");
-        let mut pattern_counts: HashMap<String, usize> = HashMap::new();
-        let mut total = 0usize;
-        let mut row_patterns: Vec<Option<String>> = Vec::with_capacity(table.n_rows());
-        for row in 0..table.n_rows() {
-            match col.get(row) {
-                Value::Str(s) => {
-                    let p = syntactic_pattern(&s);
-                    *pattern_counts.entry(p.clone()).or_insert(0) += 1;
-                    total += 1;
-                    row_patterns.push(Some(p));
-                }
-                _ => row_patterns.push(None),
+    fn detect_syntactic_outliers(&self, col: &Column, col_idx: usize, out: &mut Vec<CellRef>) {
+        // One pattern per dictionary entry, with the entry's row count.
+        let patterns: Vec<Vec<(String, usize)>> = col
+            .chunks()
+            .iter()
+            .map(|c| {
+                c.dict_tallies()
+                    .map(|(s, n)| (syntactic_pattern(s), n))
+                    .collect()
+            })
+            .collect();
+        let mut pattern_counts: HashMap<&str, usize> = HashMap::new();
+        for (p, n) in patterns.iter().flatten() {
+            if *n > 0 {
+                *pattern_counts.entry(p).or_insert(0) += n;
             }
         }
+        let total: usize = pattern_counts.values().sum();
         if total < 10 || pattern_counts.len() < 2 {
             return;
         }
         // Dominant patterns: greedily take the most common until coverage.
-        let mut ranked: Vec<(&String, &usize)> = pattern_counts.iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+        let mut ranked: Vec<(&str, usize)> = pattern_counts.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         let mut covered = 0usize;
-        let mut dominant: Vec<&String> = Vec::new();
-        for (p, c) in &ranked {
+        let mut dominant: Vec<&str> = Vec::new();
+        for &(p, c) in &ranked {
             if (covered as f64) / (total as f64) >= self.config.pattern_coverage {
                 break;
             }
             dominant.push(p);
-            covered += **c;
+            covered += c;
         }
         // If everything is dominant there is nothing to flag.
-        if dominant.len() == pattern_counts.len() {
+        if dominant.len() == ranked.len() {
             return;
         }
-        for (row, p) in row_patterns.iter().enumerate() {
-            if let Some(p) = p {
-                if !dominant.contains(&p) {
-                    out.push(CellRef::new(row, col_idx));
-                }
-            }
-        }
+        let hits = patterns.iter().map(|ps| {
+            ps.iter()
+                .map(|(p, _)| !dominant.contains(&p.as_str()))
+                .collect()
+        });
+        flag_entries(col, col_idx, hits, out);
     }
 }
 
@@ -223,7 +217,8 @@ pub fn syntactic_pattern(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalens_table::Column;
+    use crate::testgen::{self, MAX_ROWS};
+    use proptest::prelude::*;
 
     #[test]
     fn pattern_compression() {
@@ -308,5 +303,183 @@ mod tests {
         let t = Table::new("t", vec![Column::from_str_vals("s", vals)]).unwrap();
         let d = FahesDetector::default().detect(&t, &DetectionContext::default());
         assert!(d.is_empty());
+    }
+
+    /// The channel kernels FAHES replaced: a `Vec<(row, f64)>` copy per
+    /// numeric column and a `String` per row through `get`.
+    mod reference {
+        use super::*;
+        use crate::testgen::numeric_entries;
+        use datalens_table::Value;
+
+        pub fn numeric_sentinels(cfg: &FahesConfig, col: &Column) -> Vec<CellRef> {
+            let mut out = Vec::new();
+            let entries = numeric_entries(col);
+            if entries.len() < 8 {
+                return out;
+            }
+            let n = entries.len() as f64;
+            let mut counts: HashMap<u64, (f64, usize)> = HashMap::new();
+            for (_, v) in &entries {
+                counts.entry(v.to_bits()).or_insert((*v, 0)).1 += 1;
+            }
+            if counts.len() < 3 {
+                return out;
+            }
+            for (_, (value, count)) in counts.iter() {
+                let is_known =
+                    value.fract() == 0.0 && cfg.numeric_sentinels.contains(&(*value as i64));
+                let is_spike =
+                    counts.len() >= 10 && *count as f64 >= cfg.spike_fraction * n && *count >= 3;
+                if !is_known && !is_spike {
+                    continue;
+                }
+                let rest: Vec<f64> = entries
+                    .iter()
+                    .map(|(_, v)| *v)
+                    .filter(|v| v.to_bits() != value.to_bits())
+                    .collect();
+                if rest.is_empty() {
+                    continue;
+                }
+                let rest_min = rest.iter().copied().fold(f64::INFINITY, f64::min);
+                let rest_max = rest.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let span = (rest_max - rest_min).max(1e-9);
+                let outside_low = *value < rest_min - 0.05 * span;
+                let outside_high = *value > rest_max + 0.05 * span;
+                let sign_break = is_known && *value <= 0.0 && rest_min > 0.0;
+                if outside_low || outside_high || sign_break {
+                    for (row, v) in &entries {
+                        if v.to_bits() == value.to_bits() {
+                            out.push(CellRef::new(*row, 0));
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn placeholders(cfg: &FahesConfig, col: &Column) -> Vec<CellRef> {
+            let mut out = Vec::new();
+            for row in 0..col.len() {
+                if let Value::Str(s) = col.get(row) {
+                    let norm = s.trim().to_ascii_lowercase();
+                    if cfg.placeholders.contains(&norm) {
+                        out.push(CellRef::new(row, 0));
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn syntactic_outliers(cfg: &FahesConfig, col: &Column) -> Vec<CellRef> {
+            let mut out = Vec::new();
+            let mut pattern_counts: HashMap<String, usize> = HashMap::new();
+            let mut total = 0usize;
+            let mut row_patterns: Vec<Option<String>> = Vec::with_capacity(col.len());
+            for row in 0..col.len() {
+                match col.get(row) {
+                    Value::Str(s) => {
+                        let p = syntactic_pattern(&s);
+                        *pattern_counts.entry(p.clone()).or_insert(0) += 1;
+                        total += 1;
+                        row_patterns.push(Some(p));
+                    }
+                    _ => row_patterns.push(None),
+                }
+            }
+            if total < 10 || pattern_counts.len() < 2 {
+                return out;
+            }
+            let mut ranked: Vec<(&String, &usize)> = pattern_counts.iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+            let mut covered = 0usize;
+            let mut dominant: Vec<&String> = Vec::new();
+            for (p, c) in &ranked {
+                if (covered as f64) / (total as f64) >= cfg.pattern_coverage {
+                    break;
+                }
+                dominant.push(p);
+                covered += **c;
+            }
+            if dominant.len() == pattern_counts.len() {
+                return out;
+            }
+            for (row, p) in row_patterns.iter().enumerate() {
+                if let Some(p) = p {
+                    if !dominant.contains(&p) {
+                        out.push(CellRef::new(row, 0));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// Run one channel of `det` on `col` as column 0, cells sorted.
+    fn channel(
+        det: &FahesDetector,
+        col: &Column,
+        f: fn(&FahesDetector, &Column, usize, &mut Vec<CellRef>),
+    ) -> Vec<CellRef> {
+        let mut out = Vec::new();
+        f(det, col, 0, &mut out);
+        out.sort();
+        out
+    }
+
+    fn sorted(mut cells: Vec<CellRef>) -> Vec<CellRef> {
+        cells.sort();
+        cells
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+        /// The sentinel channel over the numeric row iterator flags
+        /// exactly the reference's cells.
+        #[test]
+        fn numeric_sentinels_match_the_reference_kernel(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            float in any::<bool>(),
+        ) {
+            let dtype = if float { DataType::Float } else { DataType::Int };
+            let col = testgen::numeric_column(seed, rows, chunk, dtype, edits);
+            let det = FahesDetector::default();
+            prop_assert_eq!(
+                channel(&det, &col, FahesDetector::detect_numeric_sentinels),
+                sorted(reference::numeric_sentinels(&det.config, &col))
+            );
+        }
+
+        /// The placeholder and syntactic-pattern channels over chunk
+        /// dictionaries flag exactly the reference's cells, with stale
+        /// dictionary entries present.
+        #[test]
+        fn string_channels_match_the_reference_kernels(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            kind in 0u64..6,
+            noise in 0u64..40,
+            coverage in 0u8..3,
+        ) {
+            let col = testgen::string_column(seed, rows, chunk, kind, noise, edits);
+            let mut det = FahesDetector::default();
+            det.config.pattern_coverage = [0.5, 0.7, 0.9][usize::from(coverage)];
+            prop_assert_eq!(
+                channel(&det, &col, FahesDetector::detect_placeholders),
+                sorted(reference::placeholders(&det.config, &col))
+            );
+            prop_assert_eq!(
+                channel(&det, &col, FahesDetector::detect_syntactic_outliers),
+                sorted(reference::syntactic_outliers(&det.config, &col))
+            );
+        }
     }
 }

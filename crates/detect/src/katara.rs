@@ -9,9 +9,9 @@
 
 use std::collections::HashSet;
 
-use datalens_table::{CellRef, DataType, Table};
+use datalens_table::{Column, Table};
 
-use crate::detector::{Detection, DetectionContext, Detector};
+use crate::detector::{flag_entries, Detection, DetectionContext, Detector};
 
 /// How a domain decides membership.
 #[derive(Debug, Clone)]
@@ -139,20 +139,37 @@ impl Default for KataraDetector {
 }
 
 impl KataraDetector {
-    /// The domain a string column aligns with, if any.
-    pub fn align_column(&self, values: &[String]) -> Option<&Domain> {
-        if values.len() < 5 {
+    /// The domain a string column aligns with, if any. `tallies` pairs
+    /// each of the column's non-null values with its number of rows; a
+    /// value may appear more than once, its counts add up.
+    pub fn align_column(&self, tallies: &[(&str, usize)]) -> Option<&Domain> {
+        let total: usize = tallies.iter().map(|&(_, n)| n).sum();
+        if total < 5 {
             return None;
         }
         let mut best: Option<(&Domain, f64)> = None;
         for domain in &self.knowledge_base {
-            let hits = values.iter().filter(|v| domain.contains(v)).count();
-            let cover = hits as f64 / values.len() as f64;
+            let hits: usize = tallies
+                .iter()
+                .filter(|(v, _)| domain.contains(v))
+                .map(|&(_, n)| n)
+                .sum();
+            let cover = hits as f64 / total as f64;
             if cover >= self.alignment_threshold && best.as_ref().is_none_or(|(_, c)| cover > *c) {
                 best = Some((domain, cover));
             }
         }
         best.map(|(d, _)| d)
+    }
+
+    /// The domain `col` aligns with, tallied from its chunk dictionaries
+    /// (unreferenced entries skipped); `None` for non-string columns.
+    pub fn aligned_domain(&self, col: &Column) -> Option<&Domain> {
+        let chunks = col.chunks().iter();
+        let tallies: Vec<(&str, usize)> = chunks
+            .flat_map(|c| c.dict_tallies().filter(|&(_, n)| n > 0))
+            .collect();
+        self.align_column(&tallies)
     }
 }
 
@@ -164,25 +181,14 @@ impl Detector for KataraDetector {
     fn detect(&self, table: &Table, _ctx: &DetectionContext) -> Detection {
         let mut cells = Vec::new();
         for (col_idx, col) in table.columns().iter().enumerate() {
-            if col.dtype() != DataType::Str {
-                continue;
-            }
-            let mut values = Vec::new();
-            let mut rows = Vec::new();
-            for r in 0..table.n_rows() {
-                if let Some(s) = col.get(r).as_str() {
-                    values.push(s.to_string());
-                    rows.push(r);
-                }
-            }
-            let Some(domain) = self.align_column(&values) else {
+            let Some(domain) = self.aligned_domain(col) else {
                 continue;
             };
-            for (v, &r) in values.iter().zip(&rows) {
-                if !domain.contains(v) {
-                    cells.push(CellRef::new(r, col_idx));
-                }
-            }
+            let hits = col
+                .chunks()
+                .iter()
+                .map(|chunk| chunk.dict().iter().map(|v| !domain.contains(v)).collect());
+            flag_entries(col, col_idx, hits, &mut cells);
         }
         Detection::new(self.name(), cells)
     }
@@ -191,7 +197,9 @@ impl Detector for KataraDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalens_table::Column;
+    use crate::testgen::{self, MAX_ROWS};
+    use datalens_table::CellRef;
+    use proptest::prelude::*;
 
     #[test]
     fn domain_membership() {
@@ -249,11 +257,8 @@ mod tests {
     #[test]
     fn alignment_picks_best_covering_domain() {
         let det = KataraDetector::default();
-        let vals: Vec<String> = ["monday", "tuesday", "friday", "sunday", "monday"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(det.align_column(&vals).unwrap().name, "weekday");
+        let tallies = [("monday", 2), ("tuesday", 1), ("friday", 1), ("sunday", 1)];
+        assert_eq!(det.align_column(&tallies).unwrap().name, "weekday");
     }
 
     #[test]
@@ -265,5 +270,77 @@ mod tests {
         .unwrap();
         let d = KataraDetector::default().detect(&t, &DetectionContext::default());
         assert!(d.is_empty());
+    }
+
+    /// The kernel KATARA replaced: one `String` per row through `get`,
+    /// aligned by testing every row against every domain.
+    mod reference {
+        use super::*;
+
+        pub fn align_column<'a>(det: &'a KataraDetector, values: &[String]) -> Option<&'a Domain> {
+            if values.len() < 5 {
+                return None;
+            }
+            let mut best: Option<(&Domain, f64)> = None;
+            for domain in &det.knowledge_base {
+                let hits = values.iter().filter(|v| domain.contains(v)).count();
+                let cover = hits as f64 / values.len() as f64;
+                if cover >= det.alignment_threshold && best.as_ref().is_none_or(|(_, c)| cover > *c)
+                {
+                    best = Some((domain, cover));
+                }
+            }
+            best.map(|(d, _)| d)
+        }
+
+        pub fn detect(det: &KataraDetector, col: &Column) -> (Option<&'static str>, Vec<CellRef>) {
+            let mut values = Vec::new();
+            let mut rows = Vec::new();
+            for r in 0..col.len() {
+                if let Some(s) = col.get(r).as_str() {
+                    values.push(s.to_string());
+                    rows.push(r);
+                }
+            }
+            let Some(domain) = align_column(det, &values) else {
+                return (None, Vec::new());
+            };
+            let cells = values
+                .iter()
+                .zip(&rows)
+                .filter(|(v, _)| !domain.contains(v))
+                .map(|(_, &r)| CellRef::new(r, 0))
+                .collect();
+            (Some(domain.name), cells)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+        /// Alignment from dictionary tallies and flagging per entry give
+        /// the reference's domain and cells, with stale entries present.
+        #[test]
+        fn katara_matches_the_reference_kernel(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            kind in 0u64..6,
+            noise in 0u64..30,
+            threshold in 0u8..3,
+        ) {
+            let col = testgen::string_column(seed, rows, chunk, kind, noise, edits);
+            let det = KataraDetector {
+                alignment_threshold: [0.5, 0.8, 0.95][usize::from(threshold)],
+                ..KataraDetector::default()
+            };
+            let (domain, cells) = reference::detect(&det, &col);
+            prop_assert_eq!(det.aligned_domain(&col).map(|d| d.name), domain);
+            let t = Table::new("t", vec![col]).unwrap();
+            let got = det.detect(&t, &DetectionContext::default());
+            prop_assert_eq!(got, Detection::new("katara", cells));
+        }
     }
 }

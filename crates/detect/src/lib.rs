@@ -33,6 +33,8 @@ pub mod nadeef;
 pub mod raha;
 pub mod stat;
 pub mod tagging;
+#[cfg(test)]
+mod testgen;
 
 pub use consolidate::ConsolidatedDetections;
 pub use detector::{Detection, DetectionContext, Detector};

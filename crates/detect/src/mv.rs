@@ -1,6 +1,6 @@
 //! MV Detector: explicit missing values plus configured null-equivalents.
 
-use datalens_table::{CellRef, ChunkValues, Table};
+use datalens_table::{CellRef, Table};
 
 use crate::detector::{Detection, DetectionContext, Detector};
 
@@ -33,33 +33,18 @@ impl Detector for MvDetector {
         for (col_idx, col) in table.columns().iter().enumerate() {
             let mut base = 0;
             for chunk in col.chunks() {
-                match chunk.values() {
-                    ChunkValues::Str { dict, codes } => {
-                        // Normalise each dictionary entry once per chunk
-                        // instead of once per cell.
-                        let is_mv: Vec<bool> = dict
-                            .iter()
-                            .map(|s| {
-                                let norm = s.trim().to_ascii_lowercase();
-                                self.null_equivalents.contains(&norm)
-                            })
-                            .collect();
-                        for (row, &code) in codes.iter().enumerate() {
-                            if !chunk.is_valid(row) || is_mv[code as usize] {
-                                cells.push(CellRef::new(base + row, col_idx));
-                            }
-                        }
-                    }
-                    _ => {
-                        if chunk.null_count() > 0 {
-                            for row in 0..chunk.len() {
-                                if !chunk.is_valid(row) {
-                                    cells.push(CellRef::new(base + row, col_idx));
-                                }
-                            }
-                        }
-                    }
-                }
+                // Normalise each dictionary entry once per chunk instead
+                // of once per cell.
+                let is_mv: Vec<bool> = chunk
+                    .dict()
+                    .iter()
+                    .map(|s| {
+                        let norm = s.trim().to_ascii_lowercase();
+                        self.null_equivalents.contains(&norm)
+                    })
+                    .collect();
+                let rows = chunk.null_rows().chain(chunk.rows_with(&is_mv));
+                cells.extend(rows.map(|row| CellRef::new(base + row, col_idx)));
                 base += chunk.len();
             }
         }

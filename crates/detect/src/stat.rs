@@ -2,7 +2,8 @@
 //! — the three statistical methods the paper lists for outlier detection.
 
 use datalens_ml::isolation_forest::{IsolationForest, IsolationForestConfig};
-use datalens_table::{CellRef, Table};
+use datalens_profile::stats::quantile_sorted;
+use datalens_table::{CellRef, Column, Table};
 
 use crate::detector::{Detection, DetectionContext, Detector};
 
@@ -20,6 +21,32 @@ impl Default for SdDetector {
     }
 }
 
+/// The mean and population σ [`SdDetector`] measures a column against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SdStats {
+    pub mean: f64,
+    pub std: f64,
+}
+
+impl SdDetector {
+    /// Mean and σ of the column's finite numeric values (summed in row
+    /// order), or `None` when fewer than three remain or σ is zero.
+    /// ±inf then lies beyond every threshold; NaN never does.
+    pub fn column_stats(&self, col: &Column) -> Option<SdStats> {
+        let n = finite_values(col).count();
+        if n < 3 {
+            return None;
+        }
+        let mean = finite_values(col).sum::<f64>() / n as f64;
+        let std = (finite_values(col)
+            .map(|v| (v - mean) * (v - mean))
+            .sum::<f64>()
+            / n as f64)
+            .sqrt();
+        (std != 0.0).then_some(SdStats { mean, std })
+    }
+}
+
 impl Detector for SdDetector {
     fn name(&self) -> &'static str {
         "sd"
@@ -28,26 +55,14 @@ impl Detector for SdDetector {
     fn detect(&self, table: &Table, _ctx: &DetectionContext) -> Detection {
         let mut cells = Vec::new();
         for (col_idx, col) in table.columns().iter().enumerate() {
-            let entries = col.numeric_entries();
-            if entries.len() < 3 {
+            let Some(SdStats { mean, std }) = self.column_stats(col) else {
                 continue;
-            }
-            let n = entries.len() as f64;
-            let mean = entries.iter().map(|(_, v)| v).sum::<f64>() / n;
-            let std = (entries
-                .iter()
-                .map(|(_, v)| (v - mean) * (v - mean))
-                .sum::<f64>()
-                / n)
-                .sqrt();
-            if std == 0.0 {
-                continue;
-            }
-            for (row, v) in entries {
-                if (v - mean).abs() > self.k * std {
-                    cells.push(CellRef::new(row, col_idx));
-                }
-            }
+            };
+            cells.extend(
+                col.numeric_rows()
+                    .filter(|&(_, v)| (v - mean).abs() > self.k * std)
+                    .map(|(row, _)| CellRef::new(row, col_idx)),
+            );
         }
         Detection::new(self.name(), cells)
     }
@@ -67,6 +82,38 @@ impl Default for IqrDetector {
     }
 }
 
+/// The quartiles and fences [`IqrDetector`] measures a column against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IqrFences {
+    pub q1: f64,
+    pub q3: f64,
+    pub lo: f64,
+    pub hi: f64,
+}
+
+impl IqrDetector {
+    /// Quartiles of the column's finite numeric values and the fences
+    /// `factor`·IQR beyond them, or `None` when fewer than four values
+    /// remain or the IQR is zero. ±inf then lies outside the fences; NaN
+    /// never does.
+    pub fn fences(&self, col: &Column) -> Option<IqrFences> {
+        let mut sorted: Vec<f64> = finite_values(col).collect();
+        if sorted.len() < 4 {
+            return None;
+        }
+        sorted.sort_by(f64::total_cmp);
+        let q1 = quantile_sorted(&sorted, 0.25);
+        let q3 = quantile_sorted(&sorted, 0.75);
+        let iqr = q3 - q1;
+        (iqr != 0.0).then_some(IqrFences {
+            q1,
+            q3,
+            lo: q1 - self.factor * iqr,
+            hi: q3 + self.factor * iqr,
+        })
+    }
+}
+
 impl Detector for IqrDetector {
     fn name(&self) -> &'static str {
         "iqr"
@@ -75,28 +122,22 @@ impl Detector for IqrDetector {
     fn detect(&self, table: &Table, _ctx: &DetectionContext) -> Detection {
         let mut cells = Vec::new();
         for (col_idx, col) in table.columns().iter().enumerate() {
-            let entries = col.numeric_entries();
-            if entries.len() < 4 {
+            let Some(IqrFences { lo, hi, .. }) = self.fences(col) else {
                 continue;
-            }
-            let mut sorted: Vec<f64> = entries.iter().map(|(_, v)| *v).collect();
-            sorted.sort_by(f64::total_cmp);
-            let q1 = datalens_profile::stats::quantile_sorted(&sorted, 0.25);
-            let q3 = datalens_profile::stats::quantile_sorted(&sorted, 0.75);
-            let iqr = q3 - q1;
-            if iqr == 0.0 {
-                continue;
-            }
-            let lo = q1 - self.factor * iqr;
-            let hi = q3 + self.factor * iqr;
-            for (row, v) in entries {
-                if v < lo || v > hi {
-                    cells.push(CellRef::new(row, col_idx));
-                }
-            }
+            };
+            cells.extend(
+                col.numeric_rows()
+                    .filter(|&(_, v)| v < lo || v > hi)
+                    .map(|(row, _)| CellRef::new(row, col_idx)),
+            );
         }
         Detection::new(self.name(), cells)
     }
+}
+
+/// The column's finite numeric values, in row order.
+fn finite_values(col: &Column) -> impl Iterator<Item = f64> + '_ {
+    col.numeric_rows().map(|(_, v)| v).filter(|v| v.is_finite())
 }
 
 /// Isolation-forest detector: scores whole rows over the numeric columns,
@@ -198,7 +239,9 @@ impl Detector for IsolationForestDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalens_table::Column;
+    use crate::testgen::{self, MAX_ROWS};
+    use datalens_table::DataType;
+    use proptest::prelude::*;
 
     fn table_with_outlier() -> Table {
         let mut vals: Vec<Option<f64>> = (0..50).map(|i| Some(10.0 + (i % 5) as f64)).collect();
@@ -273,5 +316,143 @@ mod tests {
         let t = Table::new("t", vec![Column::from_f64("x", vals)]).unwrap();
         let d = SdDetector::default().detect(&t, &DetectionContext::default());
         assert!(!d.cells.contains(&CellRef::new(5, 0)));
+    }
+
+    /// 30 values between 10 and 12 plus 5000 at row 30, then `extra`.
+    fn column_with(extra: Option<f64>) -> Table {
+        let mut vals: Vec<Option<f64>> = (0..30).map(|i| Some(10.0 + (i % 3) as f64)).collect();
+        vals.push(Some(5000.0));
+        vals.extend(extra.map(Some));
+        Table::new("t", vec![Column::from_f64("x", vals)]).unwrap()
+    }
+
+    #[test]
+    fn one_non_finite_value_leaves_sd_and_iqr_on() {
+        let ctx = DetectionContext::default();
+        let both = vec![CellRef::new(30, 0), CellRef::new(31, 0)];
+        let sd = SdDetector::default();
+        let iqr = IqrDetector::default();
+        assert_eq!(sd.detect(&column_with(None), &ctx).cells, both[..1]);
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(sd.detect(&column_with(Some(inf)), &ctx).cells, both);
+            assert_eq!(iqr.detect(&column_with(Some(inf)), &ctx).cells, both);
+        }
+        let nan = column_with(Some(f64::NAN));
+        assert_eq!(sd.detect(&nan, &ctx).cells, both[..1]);
+        assert_eq!(iqr.detect(&nan, &ctx).cells, both[..1]);
+    }
+
+    /// The kernels SD and IQR replaced: one `Vec<(row, f64)>` copy per
+    /// column read through `get`, statistics over its finite values.
+    mod reference {
+        use super::*;
+        use crate::testgen::numeric_entries;
+
+        pub fn sd(k: f64, table: &Table) -> Vec<CellRef> {
+            let mut cells = Vec::new();
+            for (col_idx, col) in table.columns().iter().enumerate() {
+                let entries = numeric_entries(col);
+                let finite: Vec<f64> = entries
+                    .iter()
+                    .map(|(_, v)| *v)
+                    .filter(|v| v.is_finite())
+                    .collect();
+                if finite.len() < 3 {
+                    continue;
+                }
+                let n = finite.len() as f64;
+                let mean = finite.iter().sum::<f64>() / n;
+                let std = (finite.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt();
+                if std == 0.0 {
+                    continue;
+                }
+                for (row, v) in entries {
+                    if (v - mean).abs() > k * std {
+                        cells.push(CellRef::new(row, col_idx));
+                    }
+                }
+            }
+            cells
+        }
+
+        pub fn iqr(factor: f64, table: &Table) -> Vec<CellRef> {
+            let mut cells = Vec::new();
+            for (col_idx, col) in table.columns().iter().enumerate() {
+                let entries = numeric_entries(col);
+                let mut sorted: Vec<f64> = entries
+                    .iter()
+                    .map(|(_, v)| *v)
+                    .filter(|v| v.is_finite())
+                    .collect();
+                if sorted.len() < 4 {
+                    continue;
+                }
+                sorted.sort_by(f64::total_cmp);
+                let q1 = quantile_sorted(&sorted, 0.25);
+                let q3 = quantile_sorted(&sorted, 0.75);
+                let iqr = q3 - q1;
+                if iqr == 0.0 {
+                    continue;
+                }
+                let (lo, hi) = (q1 - factor * iqr, q3 + factor * iqr);
+                for (row, v) in entries {
+                    if v < lo || v > hi {
+                        cells.push(CellRef::new(row, col_idx));
+                    }
+                }
+            }
+            cells
+        }
+    }
+
+    /// An Int, a Float, a Bool and a string column of `rows` rows.
+    fn mixed_table(seed: u64, rows: usize, chunk: usize, edits: usize) -> Table {
+        let numeric = |salt, dtype, name| {
+            let mut col = testgen::numeric_column(seed ^ salt, rows, chunk, dtype, edits);
+            col.rename(name);
+            col
+        };
+        let columns = vec![
+            numeric(0, DataType::Int, "i"),
+            numeric(1, DataType::Float, "f"),
+            numeric(2, DataType::Bool, "b"),
+            testgen::string_column(seed, rows, chunk, seed % 6, 10, edits),
+        ];
+        Table::new("t", columns).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+        /// SD over the chunk buffers flags exactly the reference's cells.
+        #[test]
+        fn sd_matches_the_reference_kernel(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            k in 1u8..4,
+        ) {
+            let t = mixed_table(seed, rows, chunk, edits);
+            let det = SdDetector { k: f64::from(k) };
+            let want = Detection::new("sd", reference::sd(det.k, &t));
+            prop_assert_eq!(det.detect(&t, &DetectionContext::default()), want);
+        }
+
+        /// IQR over the chunk buffers flags exactly the reference's cells.
+        #[test]
+        fn iqr_matches_the_reference_kernel(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            factor in 0u8..4,
+        ) {
+            let t = mixed_table(seed, rows, chunk, edits);
+            let det = IqrDetector { factor: 0.5 + f64::from(factor) };
+            let want = Detection::new("iqr", reference::iqr(det.factor, &t));
+            prop_assert_eq!(det.detect(&t, &DetectionContext::default()), want);
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use datalens_table::{Column, DataType, Table};
+use datalens_table::{ChunkValues, Column, DataType, Table};
 
 /// Ordinal encoder for one categorical column: category → dense id.
 ///
@@ -20,15 +20,13 @@ pub struct OrdinalEncoder {
 }
 
 impl OrdinalEncoder {
-    /// Learn the category set from rendered (non-null) values.
-    pub fn fit(values: &[Option<String>]) -> OrdinalEncoder {
-        let mut cats: Vec<&String> = values.iter().flatten().collect();
-        cats.sort();
-        cats.dedup();
-        let mapping = cats
+    /// Learn the category set from the (non-null) values; repeats are
+    /// allowed and ignored.
+    pub fn fit<'a>(values: impl IntoIterator<Item = &'a str>) -> OrdinalEncoder {
+        let mapping = sorted_categories(values)
             .into_iter()
             .enumerate()
-            .map(|(i, c)| (c.clone(), i))
+            .map(|(i, c)| (c, i))
             .collect();
         OrdinalEncoder { mapping }
     }
@@ -66,10 +64,10 @@ pub struct OneHotEncoder {
 }
 
 impl OneHotEncoder {
-    pub fn fit(values: &[Option<String>]) -> OneHotEncoder {
-        let mut cats: Vec<String> = values.iter().flatten().cloned().collect();
-        cats.sort();
-        cats.dedup();
+    /// Learn the category set from the (non-null) values; repeats are
+    /// allowed and ignored.
+    pub fn fit<'a>(values: impl IntoIterator<Item = &'a str>) -> OneHotEncoder {
+        let cats = sorted_categories(values);
         let index = cats
             .iter()
             .enumerate()
@@ -98,6 +96,14 @@ impl OneHotEncoder {
     pub fn categories(&self) -> &[String] {
         &self.categories
     }
+}
+
+/// The distinct values, sorted (the encoders' id order).
+fn sorted_categories<'a>(values: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    let mut cats: Vec<&str> = values.into_iter().collect();
+    cats.sort_unstable();
+    cats.dedup();
+    cats.into_iter().map(str::to_string).collect()
 }
 
 /// Standard scaler: per-dim zero mean, unit variance (constant dims are
@@ -200,14 +206,18 @@ impl TableEncoder {
                     ColumnEncoding::Numeric { fill }
                 }
                 DataType::Str => {
-                    let rendered: Vec<Option<String>> =
-                        col.iter().map(|v| v.as_str().map(str::to_string)).collect();
+                    // Each chunk's referenced dictionary entries (stale
+                    // ones count zero rows).
+                    let chunks = col.chunks().iter();
+                    let values = chunks
+                        .flat_map(|c| c.dict_tallies().filter(|&(_, n)| n > 0))
+                        .map(|(s, _)| s);
                     match strategy {
                         CategoricalEncoding::Ordinal => {
-                            ColumnEncoding::Ordinal(OrdinalEncoder::fit(&rendered))
+                            ColumnEncoding::Ordinal(OrdinalEncoder::fit(values))
                         }
                         CategoricalEncoding::OneHot => {
-                            ColumnEncoding::OneHot(OneHotEncoder::fit(&rendered))
+                            ColumnEncoding::OneHot(OneHotEncoder::fit(values))
                         }
                     }
                 }
@@ -261,10 +271,7 @@ impl TableEncoder {
 /// Extract a regression target: non-null numeric rows of `column`.
 /// Returns `(row_indices, targets)`.
 pub fn regression_target(column: &Column) -> (Vec<usize>, Vec<f64>) {
-    let entries = column.numeric_entries();
-    let rows = entries.iter().map(|(r, _)| *r).collect();
-    let vals = entries.iter().map(|(_, v)| *v).collect();
-    (rows, vals)
+    column.numeric_rows().unzip()
 }
 
 /// Extract a classification target: non-null rows of `column`, labels as
@@ -272,11 +279,16 @@ pub fn regression_target(column: &Column) -> (Vec<usize>, Vec<f64>) {
 pub fn classification_target(column: &Column) -> (Vec<usize>, Vec<String>) {
     let mut rows = Vec::new();
     let mut labels = Vec::new();
-    for (r, v) in column.iter().enumerate() {
-        if !v.is_null() {
-            rows.push(r);
-            labels.push(v.render());
+    let mut base = 0;
+    for chunk in column.chunks() {
+        for i in chunk.valid_rows() {
+            rows.push(base + i);
+            labels.push(match chunk.values() {
+                ChunkValues::Str { dict, codes } => dict[codes[i] as usize].clone(),
+                _ => chunk.value(i).render(),
+            });
         }
+        base += chunk.len();
     }
     (rows, labels)
 }
@@ -284,7 +296,8 @@ pub fn classification_target(column: &Column) -> (Vec<usize>, Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datalens_table::Column;
+    use datalens_table::Value;
+    use proptest::prelude::*;
 
     fn table() -> Table {
         Table::new(
@@ -300,7 +313,7 @@ mod tests {
 
     #[test]
     fn ordinal_encoder_sorted_stable() {
-        let e = OrdinalEncoder::fit(&[Some("b".into()), Some("a".into()), Some("b".into()), None]);
+        let e = OrdinalEncoder::fit(["b", "a", "b"]);
         assert_eq!(e.n_categories(), 2);
         assert_eq!(e.encode(Some("a")), 0.0);
         assert_eq!(e.encode(Some("b")), 1.0);
@@ -311,7 +324,7 @@ mod tests {
 
     #[test]
     fn onehot_encoder_width_and_zero_vector() {
-        let e = OneHotEncoder::fit(&[Some("p".into()), Some("q".into())]);
+        let e = OneHotEncoder::fit(["p", "q"]);
         assert_eq!(e.width(), 2);
         assert_eq!(e.encode(Some("q")), vec![0.0, 1.0]);
         assert_eq!(e.encode(None), vec![0.0, 0.0]);
@@ -372,5 +385,221 @@ mod tests {
         let c = Column::from_i64("y", [Some(1), Some(2)]);
         let (_, labels) = classification_target(&c);
         assert_eq!(labels, vec!["1".to_string(), "2".to_string()]);
+    }
+
+    /// The kernels the chunk-buffer readers replaced: one `Value` (and
+    /// `String`) per row.
+    mod reference {
+        use super::*;
+
+        fn rows(column: &Column) -> impl Iterator<Item = (usize, Value)> + '_ {
+            (0..column.len()).map(|r| (r, column.get(r)))
+        }
+
+        fn sorted(values: &[Option<String>]) -> Vec<String> {
+            let mut cats: Vec<String> = values.iter().flatten().cloned().collect();
+            cats.sort();
+            cats.dedup();
+            cats
+        }
+
+        pub fn table_encoder_fit(
+            table: &Table,
+            exclude: &[&str],
+            strategy: CategoricalEncoding,
+        ) -> TableEncoder {
+            let mut encodings = Vec::new();
+            for (idx, col) in table.columns().iter().enumerate() {
+                if exclude.contains(&col.name()) {
+                    continue;
+                }
+                let enc = match col.dtype() {
+                    DataType::Int | DataType::Float | DataType::Bool => {
+                        let vals: Vec<f64> = rows(col).filter_map(|(_, v)| v.as_f64()).collect();
+                        let fill = if vals.is_empty() {
+                            0.0
+                        } else {
+                            vals.iter().sum::<f64>() / vals.len() as f64
+                        };
+                        ColumnEncoding::Numeric { fill }
+                    }
+                    DataType::Str => {
+                        let rendered: Vec<Option<String>> = rows(col)
+                            .map(|(_, v)| v.as_str().map(str::to_string))
+                            .collect();
+                        let cats = sorted(&rendered);
+                        match strategy {
+                            CategoricalEncoding::Ordinal => {
+                                ColumnEncoding::Ordinal(OrdinalEncoder {
+                                    mapping: cats
+                                        .into_iter()
+                                        .enumerate()
+                                        .map(|(i, c)| (c, i))
+                                        .collect(),
+                                })
+                            }
+                            CategoricalEncoding::OneHot => ColumnEncoding::OneHot(OneHotEncoder {
+                                index: cats
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, c)| (c.clone(), i))
+                                    .collect(),
+                                categories: cats,
+                            }),
+                        }
+                    }
+                };
+                encodings.push((idx, enc));
+            }
+            TableEncoder { encodings }
+        }
+
+        pub fn regression_target(column: &Column) -> (Vec<usize>, Vec<f64>) {
+            rows(column)
+                .filter_map(|(r, v)| v.as_f64().map(|x| (r, x)))
+                .unzip()
+        }
+
+        pub fn classification_target(column: &Column) -> (Vec<usize>, Vec<String>) {
+            rows(column)
+                .filter(|(_, v)| !v.is_null())
+                .map(|(r, v)| (r, v.render()))
+                .unzip()
+        }
+    }
+
+    /// Field-by-field equality, fills compared bit for bit.
+    fn same_encoder(a: &TableEncoder, b: &TableEncoder) -> bool {
+        a.encodings.len() == b.encodings.len()
+            && a.encodings
+                .iter()
+                .zip(&b.encodings)
+                .all(|((ia, ea), (ib, eb))| {
+                    ia == ib
+                        && match (ea, eb) {
+                            (
+                                ColumnEncoding::Numeric { fill: x },
+                                ColumnEncoding::Numeric { fill: y },
+                            ) => x.to_bits() == y.to_bits(),
+                            (ColumnEncoding::Ordinal(x), ColumnEncoding::Ordinal(y)) => {
+                                x.mapping == y.mapping
+                            }
+                            (ColumnEncoding::OneHot(x), ColumnEncoding::OneHot(y)) => {
+                                x.categories == y.categories && x.index == y.index
+                            }
+                            _ => false,
+                        }
+                })
+    }
+
+    /// Rows of the differential tests: debug builds stay quick, release
+    /// builds run larger columns.
+    const MAX_ROWS: usize = if cfg!(debug_assertions) { 80 } else { 2_000 };
+
+    /// Deterministic draws in `0..n` from `state`.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) % n.max(1)
+    }
+
+    /// A column of `dtype` with nulls, NaN, ±inf, ±0.0, ties and (for
+    /// strings) `levels` categories, split into chunks of `chunk_rows`.
+    /// `edits` cells are overwritten through `set`, first with a fresh
+    /// value, which leaves stale dictionary entries behind.
+    fn column(
+        name: &str,
+        dtype: DataType,
+        seed: u64,
+        rows: usize,
+        chunk_rows: usize,
+        levels: u64,
+        edits: usize,
+    ) -> Column {
+        let mut state = seed;
+        let cell = |state: &mut u64| -> Value {
+            let k = draw(state, levels);
+            match draw(state, 20) {
+                0..=1 => Value::Null,
+                2 => Value::Float(
+                    [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                        [draw(state, 5) as usize],
+                ),
+                3..=9 => Value::Int(k as i64 - 2),
+                10..=11 => Value::Bool(k.is_multiple_of(2)),
+                _ => Value::Str(format!("c{k}")),
+            }
+        };
+        let values: Vec<Value> = (0..rows).map(|_| cell(&mut state)).collect();
+        let mut col = Column::from_values(name, dtype, values).rechunk(chunk_rows);
+        for e in 0..edits.min(rows) {
+            let row = draw(&mut state, rows as u64) as usize;
+            col.set(row, Value::Str(format!("fresh{e}")));
+            let v = cell(&mut state);
+            col.set(row, v);
+        }
+        col
+    }
+
+    const DTYPES: [DataType; 4] = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Bool,
+        DataType::Str,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+        /// `TableEncoder::fit` over chunk dictionaries learns the same
+        /// fills and sorted category ids as the per-row reference.
+        #[test]
+        fn table_encoder_fit_matches_the_reference_kernel(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            levels in 1u64..30,
+            edits in 0usize..6,
+            onehot in any::<bool>(),
+        ) {
+            let columns = DTYPES
+                .iter()
+                .enumerate()
+                .map(|(i, &dtype)| {
+                    let name = format!("c{i}");
+                    column(&name, dtype, seed ^ i as u64, rows, chunk, levels, edits)
+                })
+                .collect();
+            let t = Table::new("t", columns).unwrap();
+            let strategy = if onehot {
+                CategoricalEncoding::OneHot
+            } else {
+                CategoricalEncoding::Ordinal
+            };
+            let got = TableEncoder::fit(&t, &["c1"], strategy);
+            prop_assert!(same_encoder(&got, &reference::table_encoder_fit(&t, &["c1"], strategy)));
+        }
+
+        /// The target extractors return the reference's rows, values and
+        /// labels, bit for bit.
+        #[test]
+        fn target_extractors_match_the_reference_kernels(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            levels in 1u64..30,
+            edits in 0usize..6,
+            dtype in 0usize..4,
+        ) {
+            let col = column("y", DTYPES[dtype], seed, rows, chunk, levels, edits);
+            let (rows_got, vals_got) = regression_target(&col);
+            let (rows_want, vals_want) = reference::regression_target(&col);
+            prop_assert_eq!(rows_got, rows_want);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(vals_got), bits(vals_want));
+            prop_assert_eq!(classification_target(&col), reference::classification_target(&col));
+        }
     }
 }

@@ -543,8 +543,7 @@ mod tests {
         let chunk = &c.chunks()[0];
         let fp = cache.chunk_fingerprint_of(chunk);
         assert!(cache.get_chunk_partial(fp).is_none());
-        let mut vals = Vec::new();
-        chunk.numeric_values_into(&mut vals);
+        let vals: Vec<f64> = chunk.numeric_rows().map(|(_, v)| v).collect();
         let partial = NumericPartial::of(&vals);
         cache.put_chunk_partial(fp, partial);
         assert_eq!(cache.get_chunk_partial(fp), Some(partial));

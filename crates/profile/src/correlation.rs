@@ -837,8 +837,8 @@ mod tests {
         ) {
             let a = numeric_column(seed, rows, chunk_a, floats & 1 == 1, edits);
             let b = numeric_column(seed ^ 0x5bd1, rows, chunk_b, floats & 2 == 2, edits);
-            let xa: Vec<Option<f64>> = a.iter().map(|v| v.as_f64()).collect();
-            let xb: Vec<Option<f64>> = b.iter().map(|v| v.as_f64()).collect();
+            let xa: Vec<Option<f64>> = (0..rows).map(|r| a.get(r).as_f64()).collect();
+            let xb: Vec<Option<f64>> = (0..rows).map(|r| b.get(r).as_f64()).collect();
             type Reference = fn(&[Option<f64>], &[Option<f64>]) -> Option<f64>;
             let kinds: [(CorrelationKind, Reference); 2] = [
                 (CorrelationKind::Pearson, reference::pearson),
@@ -865,8 +865,10 @@ mod tests {
         ) {
             let a = string_column(seed, rows, chunk_a, levels_a, edits);
             let b = string_column(seed ^ 0x5bd1, rows, chunk_b, levels_b, edits);
-            let sa: Vec<Option<String>> = a.iter().map(|v| v.as_str().map(str::to_string)).collect();
-            let sb: Vec<Option<String>> = b.iter().map(|v| v.as_str().map(str::to_string)).collect();
+            let sa: Vec<Option<String>> =
+                (0..rows).map(|r| a.get(r).as_str().map(str::to_string)).collect();
+            let sb: Vec<Option<String>> =
+                (0..rows).map(|r| b.get(r).as_str().map(str::to_string)).collect();
             let kind = CorrelationKind::CramersV;
             let got = coefficient(&prepare(&a, kind), &prepare(&b, kind));
             let want = reference::cramers_v(&sa, &sb).unwrap_or(f64::NAN);

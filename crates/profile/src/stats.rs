@@ -188,7 +188,7 @@ impl NumericPartial {
             return None;
         }
         let mut values = Vec::with_capacity(chunk.len());
-        chunk.numeric_values_into(&mut values);
+        values.extend(chunk.numeric_rows().map(|(_, v)| v));
         Some(NumericPartial::of(&values))
     }
 
@@ -250,7 +250,7 @@ pub fn numeric_stats_chunked(
     let mut buf: Vec<f64> = Vec::new();
     for chunk in column.chunks() {
         buf.clear();
-        chunk.numeric_values_into(&mut buf);
+        buf.extend(chunk.numeric_rows().map(|(_, v)| v));
         let partial = match cache {
             Some(cache) => {
                 let fp = cache.chunk_fingerprint_of(chunk);

@@ -55,6 +55,19 @@ pub enum RawRef<'a> {
     Str(&'a str),
 }
 
+impl RawRef<'_> {
+    /// The owned, dynamically-typed form of this slot.
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            RawRef::Null => Value::Null,
+            RawRef::Int(v) => Value::Int(v),
+            RawRef::Float(v) => Value::Float(v),
+            RawRef::Bool(v) => Value::Bool(v),
+            RawRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
 /// One immutable row group: a validity bitmap over a dense typed buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chunk {
@@ -150,13 +163,7 @@ impl Chunk {
     /// Dynamically-typed view of row `row` (out-of-range panics, like
     /// slice indexing).
     pub fn value(&self, row: usize) -> Value {
-        match self.raw_at(row) {
-            RawRef::Null => Value::Null,
-            RawRef::Int(v) => Value::Int(v),
-            RawRef::Float(v) => Value::Float(v),
-            RawRef::Bool(v) => Value::Bool(v),
-            RawRef::Str(s) => Value::Str(s.to_string()),
-        }
+        self.raw_at(row).to_value()
     }
 
     /// Borrowed raw view of row `row`.
@@ -175,34 +182,64 @@ impl Chunk {
         }
     }
 
-    /// Append every non-null value as `f64` (booleans as 0/1) to `out`,
-    /// in row order. Non-finite floats are included — downstream
+    /// Offsets of the non-null rows, ascending. The validity bitmap is
+    /// walked a word (64 rows) at a time, so an all-null word costs one
+    /// test.
+    pub fn valid_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.validity, self.len, false)
+    }
+
+    /// Offsets of the null rows, ascending (same word-at-a-time walk).
+    pub fn null_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.validity, self.len, true)
+    }
+
+    /// `(offset, value)` for every non-null row as `f64` (booleans as
+    /// 0/1), ascending. Non-finite floats are included — downstream
     /// statistics filter (and count) them. String chunks yield nothing.
-    pub fn numeric_values_into(&self, out: &mut Vec<f64>) {
+    pub fn numeric_rows(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let words = match self.values {
+            ChunkValues::Str { .. } => &[][..],
+            _ => &self.validity[..],
+        };
+        set_bits(words, self.len, false).map(move |i| match &self.values {
+            ChunkValues::Int(v) => (i, v[i] as f64),
+            ChunkValues::Float(v) => (i, v[i]),
+            ChunkValues::Bool(v) => (i, if v[i] { 1.0 } else { 0.0 }),
+            ChunkValues::Str { .. } => unreachable!("string chunks walk no words"),
+        })
+    }
+
+    /// The dictionary of a string chunk (empty for other dtypes). Entries
+    /// overwritten through `set` may linger unreferenced.
+    pub fn dict(&self) -> &[String] {
         match &self.values {
-            ChunkValues::Int(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if self.is_valid(i) {
-                        out.push(*x as f64);
-                    }
-                }
-            }
-            ChunkValues::Float(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if self.is_valid(i) {
-                        out.push(*x);
-                    }
-                }
-            }
-            ChunkValues::Bool(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if self.is_valid(i) {
-                        out.push(if *x { 1.0 } else { 0.0 });
-                    }
-                }
-            }
-            ChunkValues::Str { .. } => {}
+            ChunkValues::Str { dict, .. } => dict,
+            _ => &[],
         }
+    }
+
+    /// Each [`Chunk::dict`] entry with the number of non-null rows that
+    /// reference it, in dictionary order; unreferenced entries count zero.
+    pub fn dict_tallies(&self) -> impl Iterator<Item = (&str, usize)> + '_ {
+        let mut counts = vec![0; self.dict().len()];
+        if let ChunkValues::Str { codes, .. } = &self.values {
+            for i in self.valid_rows() {
+                counts[codes[i] as usize] += 1;
+            }
+        }
+        self.dict().iter().map(String::as_str).zip(counts)
+    }
+
+    /// Offsets of the non-null rows of a string chunk whose dictionary
+    /// entry is marked in `hits` (one flag per [`Chunk::dict`] entry),
+    /// ascending; other dtypes yield nothing.
+    pub fn rows_with<'a>(&'a self, hits: &'a [bool]) -> impl Iterator<Item = usize> + 'a {
+        let (words, codes) = match &self.values {
+            ChunkValues::Str { codes, .. } => (&self.validity[..], &codes[..]),
+            _ => (&[][..], &[][..]),
+        };
+        set_bits(words, self.len, false).filter(move |&i| hits[codes[i] as usize])
     }
 
     /// Heap bytes resident for this chunk's buffers (validity + values +
@@ -270,52 +307,43 @@ impl Chunk {
         }
     }
 
-    /// Append `value` (already coerced; anything else becomes null).
+    /// Append `value` (already coerced; anything else becomes null): a
+    /// null placeholder slot, then [`Chunk::set_value`].
     pub(crate) fn push_value(&mut self, value: Value) {
-        let row = self.len;
-        if row / 64 >= self.validity.len() {
+        if self.len / 64 >= self.validity.len() {
             self.validity.push(0);
         }
-        let valid = match (&mut self.values, value) {
-            (ChunkValues::Int(v), Value::Int(x)) => {
-                v.push(x);
-                true
-            }
-            (ChunkValues::Float(v), Value::Float(x)) => {
-                v.push(x);
-                true
-            }
-            (ChunkValues::Bool(v), Value::Bool(x)) => {
-                v.push(x);
-                true
-            }
-            (ChunkValues::Str { dict, codes }, Value::Str(x)) => {
-                codes.push(intern(dict, x));
-                true
-            }
-            (ChunkValues::Int(v), _) => {
-                v.push(0);
-                false
-            }
-            (ChunkValues::Float(v), _) => {
-                v.push(0.0);
-                false
-            }
-            (ChunkValues::Bool(v), _) => {
-                v.push(false);
-                false
-            }
-            (ChunkValues::Str { codes, .. }, _) => {
-                codes.push(0);
-                false
-            }
-        };
-        self.len += 1;
-        bit_set(&mut self.validity, row, valid);
-        if !valid {
-            self.null_count += 1;
+        match &mut self.values {
+            ChunkValues::Int(v) => v.push(0),
+            ChunkValues::Float(v) => v.push(0.0),
+            ChunkValues::Bool(v) => v.push(false),
+            ChunkValues::Str { codes, .. } => codes.push(0),
         }
+        self.len += 1;
+        self.null_count += 1;
+        self.set_value(self.len - 1, value);
     }
+}
+
+/// Positions below `len` of the set bits of `words` (of the clear bits
+/// when `invert`), ascending, one word at a time.
+fn set_bits(words: &[u64], len: usize, invert: bool) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(move |(w, &word)| {
+        let tail = len.saturating_sub(w * 64);
+        let in_range = if tail >= 64 {
+            u64::MAX
+        } else {
+            (1 << tail) - 1
+        };
+        let mut bits = if invert { !word } else { word } & in_range;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Dictionary lookup by linear scan (mutation path only — bulk builds
@@ -586,8 +614,7 @@ mod tests {
         c.push_value(Value::Float(1.0));
         c.push_value(Value::Null);
         c.push_value(Value::Float(f64::NAN));
-        let mut out = Vec::new();
-        c.numeric_values_into(&mut out);
+        let out: Vec<f64> = c.numeric_rows().map(|(_, v)| v).collect();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], 1.0);
         assert!(out[1].is_nan());
@@ -601,5 +628,27 @@ mod tests {
         let chunks = b.finish();
         // 1 validity word + 2 codes + 1 dict entry ("hello").
         assert!(chunks[0].resident_bytes() >= 8 + 8 + 5);
+    }
+
+    #[test]
+    fn dictionary_readers_skip_stale_entries_and_nulls() {
+        let mut c = Chunk::empty(DataType::Str);
+        for v in ["a", "b", "a"] {
+            c.push_value(Value::Str(v.into()));
+        }
+        c.push_value(Value::Null);
+        c.set_value(1, Value::Str("c".into())); // "b" is now stale
+        let tallies: Vec<(&str, usize)> = c.dict_tallies().collect();
+        assert_eq!(tallies, [("a", 2), ("b", 0), ("c", 1)]);
+        assert_eq!(
+            c.rows_with(&[true, true, false]).collect::<Vec<_>>(),
+            vec![0, 2]
+        );
+        assert_eq!(c.null_rows().collect::<Vec<_>>(), vec![3]);
+        let ints = Chunk::nulls(DataType::Int, 70);
+        assert!(ints.dict().is_empty());
+        assert_eq!(ints.rows_with(&[]).count(), 0);
+        assert_eq!(ints.null_rows().count(), 70);
+        assert_eq!(ints.valid_rows().count(), 0);
     }
 }

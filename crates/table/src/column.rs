@@ -8,6 +8,14 @@
 //! at *chunk* granularity: a single-row repair copies one row group, not
 //! the column.
 //!
+//! Reads go through point access ([`Column::get`], [`Column::is_null`])
+//! or borrow the chunk buffers: [`Column::chunks`] hands out each chunk's
+//! typed buffer, validity bitmap and dictionary (walk non-null rows with
+//! [`Chunk::valid_rows`], which skips nulls a bitmap word at a time), and
+//! [`Column::numeric_rows`] yields `(row, f64)` over them. Two copying
+//! readers remain: [`Column::numeric_values`] and
+//! [`Column::value_counts`].
+//!
 //! Equality is **logical**: two columns with the same name, dtype and
 //! per-row values are equal regardless of how rows are split into chunks
 //! or how dictionaries are laid out.
@@ -16,7 +24,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::chunk::{Chunk, ChunkBuilder, ChunkValues, RawRef, DEFAULT_CHUNK_ROWS};
+use crate::chunk::{Chunk, ChunkBuilder, RawRef, DEFAULT_CHUNK_ROWS};
 use crate::value::{DataType, Value};
 
 /// A named, typed column of values, stored as row-group chunks. Cheap to
@@ -223,15 +231,8 @@ impl Column {
         self.len += 1;
     }
 
-    /// Iterator over all values as dynamically-typed [`Value`]s.
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|c| (0..c.len()).map(move |i| c.value(i)))
-    }
-
     /// Borrowed raw view of every row, in order — chunk-layout agnostic.
-    fn raw_iter(&self) -> impl Iterator<Item = RawRef<'_>> {
+    fn iter(&self) -> impl Iterator<Item = RawRef<'_>> {
         self.chunks
             .iter()
             .flat_map(|c| (0..c.len()).map(move |i| c.raw_at(i)))
@@ -248,53 +249,19 @@ impl Column {
         self.chunks.iter().map(|c| c.null_count()).sum()
     }
 
-    /// Numeric view: `(row, value)` for every non-null numeric entry.
-    /// Booleans map to 0/1; string columns yield nothing.
-    pub fn numeric_entries(&self) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        let mut base = 0;
-        for c in &self.chunks {
-            match c.values() {
-                ChunkValues::Int(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if c.is_valid(i) {
-                            out.push((base + i, *x as f64));
-                        }
-                    }
-                }
-                ChunkValues::Float(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if c.is_valid(i) {
-                            out.push((base + i, *x));
-                        }
-                    }
-                }
-                ChunkValues::Bool(v) => {
-                    for (i, x) in v.iter().enumerate() {
-                        if c.is_valid(i) {
-                            out.push((base + i, if *x { 1.0 } else { 0.0 }));
-                        }
-                    }
-                }
-                ChunkValues::Str { .. } => {}
-            }
-            base += c.len();
-        }
-        out
+    /// `(row, value)` for every non-null numeric row, in row order,
+    /// borrowed from the chunk buffers: booleans map to 0/1, non-finite
+    /// floats are included and string columns yield nothing.
+    pub fn numeric_rows(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.chunks.iter().zip(&self.offsets).flat_map(|(c, &end)| {
+            let start = end - c.len();
+            c.numeric_rows().map(move |(i, v)| (start + i, v))
+        })
     }
 
     /// Non-null numeric values, in row order.
     pub fn numeric_values(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        for c in &self.chunks {
-            c.numeric_values_into(&mut out);
-        }
-        out
-    }
-
-    /// Rendered string forms of every value (nulls as empty strings).
-    pub fn rendered(&self) -> Vec<String> {
-        self.iter().map(|v| v.render()).collect()
+        self.numeric_rows().map(|(_, v)| v).collect()
     }
 
     /// A copy containing only the rows at `indices`, in that order.
@@ -311,7 +278,7 @@ impl Column {
     pub fn rechunk(&self, target_rows: usize) -> Column {
         let mut b = ChunkBuilder::new(self.dtype, target_rows);
         for v in self.iter() {
-            b.push(v);
+            b.push(v.to_value());
         }
         Column::from_chunks(self.name.clone(), self.dtype, b.finish())
     }
@@ -321,7 +288,7 @@ impl Column {
         if dtype == self.dtype() {
             return self.clone();
         }
-        Column::from_values(self.name.clone(), dtype, self.iter())
+        Column::from_values(self.name.clone(), dtype, self.iter().map(RawRef::to_value))
     }
 
     /// Heap bytes resident across this column's chunk buffers. Shared
@@ -339,19 +306,9 @@ impl Column {
             // Chunk-batched fast path: tally dictionary codes per chunk
             // (O(rows) integer increments), merge tallies by string.
             let mut counts: HashMap<&str, usize> = HashMap::new();
-            for chunk in &self.chunks {
-                if let ChunkValues::Str { dict, codes } = chunk.values() {
-                    let mut per = vec![0usize; dict.len()];
-                    for (i, &code) in codes.iter().enumerate() {
-                        if chunk.is_valid(i) {
-                            per[code as usize] += 1;
-                        }
-                    }
-                    for (s, n) in dict.iter().zip(per) {
-                        if n > 0 {
-                            *counts.entry(s.as_str()).or_insert(0) += n;
-                        }
-                    }
+            for (s, n) in self.chunks.iter().flat_map(|c| c.dict_tallies()) {
+                if n > 0 {
+                    *counts.entry(s).or_insert(0) += n;
                 }
             }
             counts
@@ -361,8 +318,8 @@ impl Column {
         } else {
             let mut counts: HashMap<Value, usize> = HashMap::new();
             for v in self.iter() {
-                if !v.is_null() {
-                    *counts.entry(v).or_insert(0) += 1;
+                if v != RawRef::Null {
+                    *counts.entry(v.to_value()).or_insert(0) += 1;
                 }
             }
             counts.into_iter().collect()
@@ -381,13 +338,15 @@ impl PartialEq for Column {
         self.name == other.name
             && self.dtype == other.dtype
             && self.len == other.len
-            && self.raw_iter().eq(other.raw_iter())
+            && self.iter().eq(other.iter())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkValues;
+    use proptest::prelude::*;
 
     #[test]
     fn typed_constructors_and_get() {
@@ -421,11 +380,14 @@ mod tests {
     }
 
     #[test]
-    fn numeric_entries_skip_nulls_and_strings() {
+    fn numeric_rows_skip_nulls_and_strings() {
         let c = Column::from_i64("a", [Some(1), None, Some(3)]);
-        assert_eq!(c.numeric_entries(), vec![(0, 1.0), (2, 3.0)]);
+        assert_eq!(
+            c.numeric_rows().collect::<Vec<_>>(),
+            vec![(0, 1.0), (2, 3.0)]
+        );
         let s = Column::from_str_vals("s", [Some("x"), Some("y")]);
-        assert!(s.numeric_entries().is_empty());
+        assert_eq!(s.numeric_rows().count(), 0);
         let b = Column::from_bool("b", [Some(true), Some(false), None]);
         assert_eq!(b.numeric_values(), vec![1.0, 0.0]);
     }
@@ -521,7 +483,7 @@ mod tests {
             let b = a.rechunk(target);
             assert_eq!(a, b, "rechunk({target}) changed logical content");
             assert_eq!(a.null_count(), b.null_count());
-            assert_eq!(a.numeric_entries(), b.numeric_entries());
+            assert!(a.numeric_rows().eq(b.numeric_rows()));
         }
     }
 
@@ -551,5 +513,109 @@ mod tests {
         let a = Column::from_f64("f", [Some(f64::NAN)]);
         let b = Column::from_f64("f", [Some(f64::NAN)]);
         assert_ne!(a, b);
+    }
+
+    /// The copying reader [`Column::numeric_rows`] replaced.
+    fn reference_numeric_entries(col: &Column) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        let mut base = 0;
+        for c in &col.chunks {
+            match c.values() {
+                ChunkValues::Int(v) => {
+                    for (i, x) in v.iter().enumerate() {
+                        if c.is_valid(i) {
+                            out.push((base + i, *x as f64));
+                        }
+                    }
+                }
+                ChunkValues::Float(v) => {
+                    for (i, x) in v.iter().enumerate() {
+                        if c.is_valid(i) {
+                            out.push((base + i, *x));
+                        }
+                    }
+                }
+                ChunkValues::Bool(v) => {
+                    for (i, x) in v.iter().enumerate() {
+                        if c.is_valid(i) {
+                            out.push((base + i, if *x { 1.0 } else { 0.0 }));
+                        }
+                    }
+                }
+                ChunkValues::Str { .. } => {}
+            }
+            base += c.len();
+        }
+        out
+    }
+
+    /// Rows of the differential tests: debug builds stay quick, release
+    /// builds run columns spanning many bitmap words and chunks.
+    const MAX_ROWS: usize = if cfg!(debug_assertions) { 300 } else { 5_000 };
+
+    /// A column of `dtype` where row `i` is null with odds `nulls`/8
+    /// (all-null and all-valid bitmap words included), holding NaN,
+    /// ±inf, ±0.0 and ties, split into chunks of `chunk_rows` and edited
+    /// through `set` (stale dictionary entries included).
+    fn column(seed: u64, rows: usize, chunk_rows: usize, dtype: DataType, nulls: u64) -> Column {
+        let mut state = seed;
+        let mut draw = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.5];
+        let cells: Vec<Value> = (0..rows)
+            .map(|i| match (draw(8) < nulls || (i / 64) % 5 == 4, dtype) {
+                (true, _) => Value::Null,
+                (_, DataType::Float) => Value::Float(specials[draw(6) as usize]),
+                (_, DataType::Bool) => Value::Bool(draw(2) == 0),
+                (_, DataType::Str) => Value::Str(format!("s{}", draw(5))),
+                _ => Value::Int(draw(7) as i64 - 3),
+            })
+            .collect();
+        let edits: Vec<usize> = (0..rows.min(4))
+            .map(|_| draw(rows as u64) as usize)
+            .collect();
+        let mut col = Column::from_values("c", dtype, cells).rechunk(chunk_rows);
+        for row in edits {
+            col.set(row, Value::Str("fresh".into()));
+            col.set(row, Value::Null);
+        }
+        col
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
+        /// The word-at-a-time numeric row iterator yields the reference
+        /// reader's entries bit for bit, and the chunk row walks split
+        /// every chunk into its valid and null rows.
+        #[test]
+        fn numeric_rows_match_the_reference_reader(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..200,
+            dtype in 0usize..4,
+            nulls in 0u64..9,
+        ) {
+            let dtype = [DataType::Int, DataType::Float, DataType::Bool, DataType::Str][dtype];
+            let col = column(seed, rows, chunk, dtype, nulls);
+            let bits = |e: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                e.into_iter().map(|(r, v)| (r, v.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                bits(col.numeric_rows().collect()),
+                bits(reference_numeric_entries(&col))
+            );
+            for c in col.chunks() {
+                let valid: Vec<usize> = (0..c.len()).filter(|&i| c.is_valid(i)).collect();
+                let null: Vec<usize> = (0..c.len()).filter(|&i| !c.is_valid(i)).collect();
+                prop_assert_eq!(c.valid_rows().collect::<Vec<_>>(), valid);
+                prop_assert_eq!(c.null_rows().collect::<Vec<_>>(), null);
+            }
+        }
     }
 }

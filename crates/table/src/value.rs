@@ -354,11 +354,12 @@ fn parse_bool(s: &str) -> Option<bool> {
 fn parse_float(s: &str) -> Option<f64> {
     // Reject inf/NaN spellings: they are almost always data errors in CSV
     // sources and pandas treats them as strings unless told otherwise.
+    // Literals that overflow to ±inf (`1e999`) are rejected the same way.
     let lower = s.to_ascii_lowercase();
     if lower.contains("inf") || lower.contains("nan") {
         return None;
     }
-    s.parse::<f64>().ok()
+    s.parse::<f64>().ok().filter(|f| f.is_finite())
 }
 
 fn render_float(f: f64) -> String {
@@ -442,6 +443,14 @@ mod tests {
         assert_eq!(Value::parse_typed("inf", DataType::Float), None);
         assert_eq!(Value::parse_typed("-Infinity", DataType::Float), None);
         assert_eq!(Value::infer_dtype("inf"), Some(DataType::Str));
+        // Overflowing literals parse to ±inf; they are rejected too.
+        assert_eq!(Value::parse_typed("1e999", DataType::Float), None);
+        assert_eq!(Value::parse_typed("-1e999", DataType::Float), None);
+        assert_eq!(Value::infer_dtype("1e999"), Some(DataType::Str));
+        assert_eq!(
+            Value::parse_typed("1e-999", DataType::Float),
+            Some(Value::Float(0.0))
+        );
     }
 
     #[test]
