@@ -16,6 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use datalens_datasets::Task;
 use datalens_profile::ProfileMode;
+use datalens_table::csv::write_csv_str;
+use datalens_table::Table;
 
 use crate::engine::StageReport;
 use crate::error::DataLensError;
@@ -192,7 +194,9 @@ pub struct JobOutcome {
     pub n_detections: Option<usize>,
     #[serde(default)]
     pub n_repaired: Option<usize>,
-    /// The repaired table as CSV (present after a repair step).
+    /// The repaired table as CSV (present after a repair step). The job
+    /// keeps the table itself and renders this only when its result is
+    /// read.
     #[serde(default)]
     pub repaired_csv: Option<String>,
     /// Delta version the repair committed (workspace sessions only).
@@ -275,6 +279,9 @@ struct Progress {
     steps_done: usize,
     reports: Vec<StageReport>,
     outcome: JobOutcome,
+    /// The last repair step's table, shared chunk for chunk with the
+    /// session: `outcome.repaired_csv` is rendered from it on read.
+    repaired: Option<Table>,
     error: Option<String>,
     /// Append-only event log replayed by SSE subscribers. Payloads are
     /// serialised once at publish, so every subscriber — early or late
@@ -327,6 +334,7 @@ impl JobInner {
                 steps_done: 0,
                 reports: Vec::new(),
                 outcome: JobOutcome::default(),
+                repaired: None,
                 error: None,
                 events: Vec::new(),
                 events_dropped: 0,
@@ -377,10 +385,20 @@ impl JobInner {
         }
     }
 
-    /// Terminal state plus what the job produced.
+    pub fn state(&self) -> JobState {
+        self.lock().state
+    }
+
+    /// Terminal state plus what the job produced. A repaired table is
+    /// rendered to `repaired_csv` here, after the job lock is released.
     pub fn result(&self) -> (JobState, JobOutcome, Option<String>) {
-        let p = self.lock();
-        (p.state, p.outcome.clone(), p.error.clone())
+        let (state, mut outcome, error, repaired) = {
+            let p = self.lock();
+            let repaired = p.repaired.clone();
+            (p.state, p.outcome.clone(), p.error.clone(), repaired)
+        };
+        outcome.repaired_csv = repaired.as_ref().map(write_csv_str);
+        (state, outcome, error)
     }
 
     /// Queued → Running, unless cancellation already won the race.
@@ -402,6 +420,24 @@ impl JobInner {
 
     /// Record one finished step: its stage reports plus an outcome edit.
     pub fn record_step(&self, reports: Vec<StageReport>, apply: impl FnOnce(&mut JobOutcome)) {
+        self.record(reports, |p| apply(&mut p.outcome));
+    }
+
+    /// Record a finished repair step like [`JobInner::record_step`], and
+    /// keep the repaired table for [`JobInner::result`] to render.
+    pub fn record_repair(
+        &self,
+        reports: Vec<StageReport>,
+        repaired: Table,
+        apply: impl FnOnce(&mut JobOutcome),
+    ) {
+        self.record(reports, |p| {
+            apply(&mut p.outcome);
+            p.repaired = Some(repaired);
+        });
+    }
+
+    fn record(&self, reports: Vec<StageReport>, apply: impl FnOnce(&mut Progress)) {
         let mut p = self.lock();
         p.steps_done += 1;
         for report in &reports {
@@ -419,7 +455,7 @@ impl JobInner {
             self.push_event(&mut p, "progress", data.to_string(), false);
         }
         p.reports.extend(reports);
-        apply(&mut p.outcome);
+        apply(&mut p);
         self.changed.notify_all();
     }
 

@@ -703,17 +703,18 @@ fn run_step(
             job.record_step(reports, |o| o.n_detections = Some(n));
         }
         JobStep::Repair { tool } => {
-            let (n, csv, version, reports) = {
+            // The table clone shares the session's chunks; it is rendered
+            // to CSV only when the job's result is read.
+            let (n, repaired, version, reports) = {
                 let mut c = ctrl.lock();
                 let before = c.stage_reports()?.len();
                 let n = c.repair(tool)?;
-                let csv = datalens_table::csv::write_csv_str(c.repaired_table()?);
+                let repaired = c.repaired_table()?.clone();
                 let version = c.state()?.repaired_version;
-                (n, csv, version, c.stage_reports()?[before..].to_vec())
+                (n, repaired, version, c.stage_reports()?[before..].to_vec())
             };
-            job.record_step(reports, |o| {
+            job.record_repair(reports, repaired, |o| {
                 o.n_repaired = Some(n);
-                o.repaired_csv = Some(csv);
                 o.repaired_version = version;
             });
         }
@@ -795,7 +796,7 @@ fn publish_alert(
 /// one state-transition metric and one tracking run per job
 /// (best-effort). Called exactly once per job, at its terminal state.
 fn finish_bookkeeping(inner: &Inner, job: &JobInner) {
-    let (state, _, _) = job.result();
+    let state = job.state();
     if state.is_terminal() {
         if let Some(m) = &inner.metrics {
             m.record_terminal(state);

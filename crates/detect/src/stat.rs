@@ -166,43 +166,23 @@ impl Detector for IsolationForestDetector {
 
     fn detect(&self, table: &Table, ctx: &DetectionContext) -> Detection {
         let numeric_cols: Vec<usize> = table.schema().numeric_indices();
-        if numeric_cols.is_empty() || table.n_rows() < 8 {
+        let n_rows = table.n_rows();
+        if numeric_cols.is_empty() || n_rows < 8 {
             return Detection::new(self.name(), Vec::new());
         }
-        // Column means/stds for null-filling and attribution.
-        let mut stats = Vec::new();
-        for &c in &numeric_cols {
-            let vals = table.column(c).expect("in range").numeric_values();
-            let (mean, std) = if vals.is_empty() {
-                (0.0, 0.0)
-            } else {
-                let m = vals.iter().sum::<f64>() / vals.len() as f64;
-                let s = (vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / vals.len() as f64)
-                    .sqrt();
-                (m, s)
-            };
-            stats.push((mean, std));
-        }
-        let rows: Vec<Vec<f64>> = (0..table.n_rows())
-            .map(|r| {
-                numeric_cols
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        table
-                            .column(c)
-                            .expect("in range")
-                            .get(r)
-                            .as_f64()
-                            .unwrap_or(stats[i].0)
-                    })
-                    .collect()
-            })
+        // One column-major block of the numeric columns, nulls filled
+        // with their column's mean; the means and σs also serve the
+        // attribution below.
+        let mut block = vec![0.0; n_rows * numeric_cols.len()];
+        let stats: Vec<(f64, f64)> = numeric_cols
+            .iter()
+            .zip(block.chunks_exact_mut(n_rows))
+            .map(|(&c, column)| fill_column(table.column(c).expect("in range"), column))
             .collect();
         let mut config = self.config.clone();
         config.seed = ctx.seed;
-        let forest = IsolationForest::fit(&rows, &config);
-        let scores = forest.score_all(&rows);
+        let forest = IsolationForest::fit(&block, n_rows, &config);
+        let scores = forest.score_all(&block, n_rows);
 
         let mut cells = Vec::new();
         for (r, &score) in scores.iter().enumerate() {
@@ -217,7 +197,7 @@ impl Detector for IsolationForestDetector {
                 if std == 0.0 {
                     continue;
                 }
-                let z = ((rows[r][i] - mean) / std).abs();
+                let z = ((block[i * n_rows + r] - mean) / std).abs();
                 if best.as_ref().is_none_or(|(_, bz)| z > *bz) {
                     best = Some((c, z));
                 }
@@ -234,6 +214,37 @@ impl Detector for IsolationForestDetector {
         }
         Detection::new(self.name(), cells)
     }
+}
+
+/// Copy `col`'s numeric values into `out` by row, fill its nulls with the
+/// mean, and return the mean and population σ of the non-null values
+/// (NaN and ±inf included), both summed in row order; `(0.0, 0.0)` when
+/// every row is null.
+fn fill_column(col: &Column, out: &mut [f64]) -> (f64, f64) {
+    let mut count = 0;
+    let sum: f64 = col
+        .numeric_rows()
+        .inspect(|&(row, v)| {
+            out[row] = v;
+            count += 1;
+        })
+        .map(|(_, v)| v)
+        .sum();
+    if count == 0 {
+        return (0.0, 0.0);
+    }
+    let mean = sum / count as f64;
+    let mut next = 0;
+    let deviations: f64 = col
+        .numeric_rows()
+        .inspect(|&(row, _)| {
+            out[next..row].fill(mean);
+            next = row + 1;
+        })
+        .map(|(_, v)| (v - mean) * (v - mean))
+        .sum();
+    out[next..].fill(mean);
+    (mean, (deviations / count as f64).sqrt())
 }
 
 #[cfg(test)]
@@ -403,6 +414,87 @@ mod tests {
             }
             cells
         }
+
+        /// The isolation-forest detector's old front end: a row-major
+        /// matrix read through `get`, and the mean and σ of a
+        /// `numeric_values`-style copy per column. The forest itself is
+        /// the flat one, proven equal to the recursive forest it replaced
+        /// by `datalens-ml`'s differential tests; the matrix is handed to
+        /// it column-major.
+        pub fn isolation_forest(
+            det: &IsolationForestDetector,
+            table: &Table,
+            ctx: &DetectionContext,
+        ) -> Vec<CellRef> {
+            let numeric_cols: Vec<usize> = table.schema().numeric_indices();
+            if numeric_cols.is_empty() || table.n_rows() < 8 {
+                return Vec::new();
+            }
+            let mut stats = Vec::new();
+            for &c in &numeric_cols {
+                let vals: Vec<f64> = numeric_entries(table.column(c).unwrap())
+                    .into_iter()
+                    .map(|(_, v)| v)
+                    .collect();
+                let (mean, std) = if vals.is_empty() {
+                    (0.0, 0.0)
+                } else {
+                    let m = vals.iter().sum::<f64>() / vals.len() as f64;
+                    let s = (vals.iter().map(|v| (v - m) * (v - m)).sum::<f64>()
+                        / vals.len() as f64)
+                        .sqrt();
+                    (m, s)
+                };
+                stats.push((mean, std));
+            }
+            let rows: Vec<Vec<f64>> = (0..table.n_rows())
+                .map(|r| {
+                    numeric_cols
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| {
+                            let v = table.column(c).unwrap().get(r);
+                            v.as_f64().unwrap_or(stats[i].0)
+                        })
+                        .collect()
+                })
+                .collect();
+            let block: Vec<f64> = (0..numeric_cols.len())
+                .flat_map(|i| rows.iter().map(move |row| row[i]))
+                .collect();
+            let mut config = det.config.clone();
+            config.seed = ctx.seed;
+            let scores =
+                IsolationForest::fit(&block, rows.len(), &config).score_all(&block, rows.len());
+            let mut cells = Vec::new();
+            for (r, &score) in scores.iter().enumerate() {
+                if score < det.score_threshold {
+                    continue;
+                }
+                let mut flagged_any = false;
+                let mut best: Option<(usize, f64)> = None;
+                for (i, &c) in numeric_cols.iter().enumerate() {
+                    let (mean, std) = stats[i];
+                    if std == 0.0 {
+                        continue;
+                    }
+                    let z = ((rows[r][i] - mean) / std).abs();
+                    if best.as_ref().is_none_or(|(_, bz)| z > *bz) {
+                        best = Some((c, z));
+                    }
+                    if z > 1.0 {
+                        cells.push(CellRef::new(r, c));
+                        flagged_any = true;
+                    }
+                }
+                if !flagged_any {
+                    if let Some((c, _)) = best {
+                        cells.push(CellRef::new(r, c));
+                    }
+                }
+            }
+            cells
+        }
     }
 
     /// An Int, a Float, a Bool and a string column of `rows` rows.
@@ -453,6 +545,38 @@ mod tests {
             let det = IqrDetector { factor: 0.5 + f64::from(factor) };
             let want = Detection::new("iqr", reference::iqr(det.factor, &t));
             prop_assert_eq!(det.detect(&t, &DetectionContext::default()), want);
+        }
+
+        /// The isolation forest over the column-major block flags exactly
+        /// the reference's cells, on 1 to 3 Int and Float columns with
+        /// nulls, NaN, ±inf and in-place edits beside a string column.
+        #[test]
+        fn isolation_forest_matches_the_reference_front_end(
+            seed in any::<u64>(),
+            rows in 0usize..MAX_ROWS,
+            chunk in 1usize..50,
+            edits in 0usize..6,
+            numeric in 1usize..4,
+            threshold in 0u8..4,
+        ) {
+            let mut columns: Vec<Column> = (0..numeric)
+                .map(|i| {
+                    let dtype = if (seed >> i) & 1 == 0 { DataType::Int } else { DataType::Float };
+                    let mut col = testgen::numeric_column(seed ^ i as u64, rows, chunk, dtype, edits);
+                    col.rename(format!("n{i}"));
+                    col
+                })
+                .collect();
+            columns.insert(seed as usize % (numeric + 1),
+                testgen::string_column(seed, rows, chunk, seed % 6, 10, edits));
+            let t = Table::new("t", columns).unwrap();
+            let det = IsolationForestDetector {
+                score_threshold: 0.5 + 0.04 * f64::from(threshold),
+                config: IsolationForestConfig { n_trees: 30, ..Default::default() },
+            };
+            let ctx = DetectionContext { seed: seed.rotate_left(9), ..Default::default() };
+            let want = Detection::new("isolation_forest", reference::isolation_forest(&det, &t, &ctx));
+            prop_assert_eq!(det.detect(&t, &ctx), want);
         }
     }
 }

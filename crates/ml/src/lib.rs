@@ -20,7 +20,6 @@ pub mod agglomerative;
 pub mod distance;
 pub mod encode;
 pub mod isolation_forest;
-pub mod kmeans;
 pub mod knn;
 pub mod labelprop;
 pub mod linear;

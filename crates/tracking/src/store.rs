@@ -325,11 +325,16 @@ impl Run {
     }
 }
 
+/// Replace `run.json` whole: write a temp file beside it, then rename it
+/// over the old one, so a concurrent reader sees the old or the new
+/// content, never a truncated file.
 fn write_run_info(dir: &Path, info: &RunInfo) -> Result<(), TrackingError> {
+    let tmp = dir.join("run.json.tmp");
     fs::write(
-        dir.join("run.json"),
+        &tmp,
         serde_json::to_string_pretty(info).map_err(|e| TrackingError::Corrupt(e.to_string()))?,
     )?;
+    fs::rename(tmp, dir.join("run.json"))?;
     Ok(())
 }
 
